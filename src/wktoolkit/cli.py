@@ -662,6 +662,10 @@ def run(argv: list[str] | None = None) -> int:
     except CapError as exc:
         _emit({"error": str(exc), "kind": "cap"}, args.pretty)
         return EXIT_CAP
+    except RecursionError:
+        # the factorization searches recurse one level per atom or per chosen block atom
+        _emit({"error": "input too large: recursion depth exceeded", "kind": "cap"}, args.pretty)
+        return EXIT_CAP
     except ToolkitError as exc:
         _emit({"error": str(exc), "kind": "error"}, args.pretty)
         return EXIT_INPUT

@@ -8,10 +8,10 @@ sets and the unions U_k derive from it.
 Distance sets and U_k of a whole monoid are genuinely infinite unions, so
 the monoid-level operations take an explicit element bound and return a
 ``BoundedResult`` flagged as an under-approximation.  The reported
-``atom_gap_gcd`` is the gcd of consecutive atom differences; for element
-bounds of roughly four times the squared largest atom it has matched the
-minimum distance in every experiment, but that remains a bound choice, not
-a theorem, and the flag stays on.
+``atom_gap_gcd`` is the gcd of consecutive atom differences, which equals
+min Δ(S) (Bowles, Chapman, Kaplan & Reiser, *J. Algebra Appl.* 5, 2006).
+Whether a given element bound has already reached it is still the bound's
+question, so the flag stays on.
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
 """Numerical monoids and their fractional-ideal machinery.
 
-A numerical monoid is a cofinite additive submonoid of the nonnegative
-integers, stored by its minimal generators (atoms), Frobenius number,
-conductor and gap list.  Membership needs only the gap set: n belongs iff
-n >= 0 and n is not a gap.
+A numerical monoid S is a cofinite additive submonoid of the nonnegative
+integers.  It is stored by its atoms and its Apéry set with respect to the
+multiplicity m: ``apery[r]`` is the least member of S congruent to r mod m.
+The rest follows from these m integers (Rosales & García-Sánchez,
+*Numerical Semigroups*, 2009): n belongs iff n >= apery[n mod m], the
+Frobenius number is max(apery) - m, and the gaps are the n < apery[n mod m].
 
 Fractional ideals are nonempty subsets I of the integers with I + S
 contained in I and a minimum element.  Every such I is cofinite above, so
@@ -16,6 +18,7 @@ over finitely generated subideals.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,23 +30,34 @@ from .errors import (
     InputError,
     NonPositiveGenerator,
     NotInMonoid,
+    SizeCapExceeded,
 )
+
+# largest multiplicity from_generators accepts; the Apéry set has that many entries
+MULTIPLICITY_CAP = 10**5
 
 
 @dataclass(frozen=True)
 class NumericalMonoid:
     atoms: tuple[int, ...]
-    frobenius: int
-    conductor: int
-    gaps: tuple[int, ...]
-
-    @cached_property
-    def _gapset(self) -> frozenset[int]:
-        return frozenset(self.gaps)
+    apery: tuple[int, ...]
 
     @property
     def multiplicity(self) -> int:
         return self.atoms[0]
+
+    @cached_property
+    def frobenius(self) -> int:
+        return max(self.apery) - self.multiplicity
+
+    @property
+    def conductor(self) -> int:
+        return self.frobenius + 1
+
+    @cached_property
+    def gaps(self) -> tuple[int, ...]:
+        m = self.multiplicity
+        return tuple(sorted(n for r, w in enumerate(self.apery) for n in range(r, w, m)))
 
     @property
     def is_free(self) -> bool:
@@ -51,12 +65,14 @@ class NumericalMonoid:
         return self.conductor == 0
 
     def contains(self, n: int) -> bool:
-        return n >= 0 and n not in self._gapset
+        # a negative n lies below apery[n % m] >= 0
+        return n >= self.apery[n % self.atoms[0]]
 
     __contains__ = contains
 
     def elements_up_to(self, bound: int) -> Iterator[int]:
-        return (n for n in range(0, bound + 1) if n not in self._gapset)
+        ap, m = self.apery, self.multiplicity
+        return (n for n in range(0, bound + 1) if n >= ap[n % m])
 
     def to_json(self) -> dict:
         return {"atoms": list(self.atoms)}
@@ -65,12 +81,27 @@ class NumericalMonoid:
         return "<" + ",".join(str(a) for a in self.atoms) + ">"
 
 
+def _from_apery(apery: list[int], candidates: Iterable[int]) -> NumericalMonoid:
+    """The monoid with Apéry set ``apery`` (indexed by residue mod m = len(apery)),
+    given members above m, in increasing order, that generate it with m.  A
+    reducible c = x + y lies above an earlier atom a <= x in the ≤_S order,
+    so c is an atom iff c - a is a gap for every atom a kept so far."""
+    m = len(apery)
+    atoms = [m]
+    for c in candidates:
+        if not any(c - a >= apery[(c - a) % m] for a in atoms):
+            atoms.append(c)
+    return NumericalMonoid(atoms=tuple(atoms), apery=tuple(apery))
+
+
 def from_generators(gens: Iterable[int]) -> NumericalMonoid:
     """Numerical monoid generated by ``gens`` (gcd must be 1).
 
-    The sieve runs until the top ``min(gens)`` consecutive integers are all
-    representable; past such a run everything is representable, so the
-    Frobenius number, conductor and gaps are exact.
+    The Apéry set of the least generator m holds the shortest paths from 0
+    over the residues mod m, with an edge r -> r + g of weight g for every
+    generator g.  The round-robin search of Böcker & Lipták (*Algorithmica*
+    48, 2007) adds one generator at a time: along each cycle of + g mod m it
+    starts at the cheapest residue and needs a single pass.
     """
     gen_list = sorted({int(g) for g in gens})
     if not gen_list:
@@ -79,98 +110,63 @@ def from_generators(gens: Iterable[int]) -> NumericalMonoid:
         raise NonPositiveGenerator(f"generator {gen_list[0]} is not positive")
     if math.gcd(*gen_list) != 1:
         raise GcdNotOne(f"gcd of {gen_list} is {math.gcd(*gen_list)}, not 1")
-    if gen_list[0] == 1:
-        return NumericalMonoid(atoms=(1,), frobenius=-1, conductor=0, gaps=())
+    m = gen_list[0]
+    if m > MULTIPLICITY_CAP:
+        raise SizeCapExceeded(f"multiplicity {m} exceeds the cap {MULTIPLICITY_CAP}")
 
-    a = gen_list[0]
-    bound = gen_list[0] * gen_list[1] + gen_list[-1] + 1
-    while True:
-        reach = bytearray(bound + 1)
-        reach[0] = 1
-        for n in range(gen_list[0], bound + 1):
-            for g in gen_list:
-                if g > n:
-                    break
-                if reach[n - g]:
-                    reach[n] = 1
-                    break
-        if all(reach[bound - a + 1 : bound + 1]):
-            break
-        bound *= 2
-
-    frobenius = max(n for n in range(bound + 1) if not reach[n])
-    gaps = tuple(n for n in range(1, frobenius + 1) if not reach[n])
-    conductor = frobenius + 1
-    atoms = _atoms_from_reach(reach, a, conductor)
-    return NumericalMonoid(atoms=atoms, frobenius=frobenius, conductor=conductor, gaps=gaps)
+    apery = [0] + [math.inf] * (m - 1)
+    for g in gen_list[1:]:
+        d = math.gcd(g, m)
+        for start in range(d):
+            r = min(range(start, m, d), key=apery.__getitem__)
+            for _ in range(m // d - 1):
+                w = apery[r] + g
+                r = (r + g) % m
+                if w < apery[r]:
+                    apery[r] = w
+    return _from_apery(apery, gen_list[1:])
 
 
-def _atoms_from_reach(reach, multiplicity: int, conductor: int) -> tuple[int, ...]:
-    # an atom n > multiplicity satisfies n < conductor + multiplicity,
-    # since otherwise n - multiplicity >= conductor is a nonzero member
-    hi = conductor + multiplicity - 1
-    atoms = []
-    for n in range(multiplicity, hi + 1):
-        if not reach[n]:
-            continue
-        if any(reach[x] and reach[n - x] for x in range(multiplicity, n - multiplicity + 1)):
-            continue
-        atoms.append(n)
-    return tuple(atoms)
+def _closure_violation(gapset: set[int]) -> tuple[int, int] | None:
+    """Members x <= y whose sum is a gap, or None if the complement of the
+    positive integers ``gapset`` is closed under addition."""
+    frobenius = max(gapset, default=-1)
+    members = [n for n in range(1, frobenius + 1) if n not in gapset]
+    for i, x in enumerate(members):
+        for y in members[i:]:
+            if x + y > frobenius:
+                break
+            if x + y in gapset:
+                return x, y
+    return None
 
 
 def from_gaps(gaps: Iterable[int]) -> NumericalMonoid:
     """Numerical monoid with the given gap set; the complement must be closed
     under addition."""
-    gapset = sorted({int(g) for g in gaps})
-    if not gapset:
-        return NumericalMonoid(atoms=(1,), frobenius=-1, conductor=0, gaps=())
-    if gapset[0] < 1:
+    gapset = {int(g) for g in gaps}
+    if gapset and min(gapset) < 1:
         raise InputError("gaps must be positive")
-    frobenius = gapset[-1]
-    conductor = frobenius + 1
-    gs = set(gapset)
-    members = [n for n in range(1, frobenius + 1) if n not in gs]
-    for i, x in enumerate(members):
-        for y in members[i:]:
-            if x + y > frobenius:
-                break
-            if x + y in gs:
-                raise InputError(f"complement not closed: {x} + {y} = {x + y} is a gap")
-    top = conductor + (members[0] if members else conductor) + 1
-    reach = bytearray(top + 1)
-    for n in range(top + 1):
-        reach[n] = 0 if n in gs else 1
-    multiplicity = next(n for n in range(1, top + 1) if reach[n])
-    atoms = _atoms_from_reach(reach, multiplicity, conductor)
-    return NumericalMonoid(atoms=atoms, frobenius=frobenius, conductor=conductor, gaps=tuple(gapset))
+    violation = _closure_violation(gapset)
+    if violation:
+        x, y = violation
+        raise InputError(f"complement not closed: {x} + {y} = {x + y} is a gap")
+    m = next(n for n in itertools.count(1) if n not in gapset)
+    apery = [next(n for n in itertools.count(r, m) if n not in gapset) for r in range(m)]
+    return _from_apery(apery, sorted(apery[1:]))
 
 
 def enumerate_numerical_monoids(max_frobenius: int) -> Iterator[NumericalMonoid]:
     """All numerical monoids with Frobenius number <= max_frobenius,
-    the full monoid included, by exhausting admissible gap sets."""
-    yield from_gaps(())
-    for mask in range(1, 1 << max_frobenius):
-        gaps = [i + 1 for i in range(max_frobenius) if mask >> i & 1]
-        gs = set(gaps)
-        frob = gaps[-1]
-        members = [n for n in range(1, frob + 1) if n not in gs]
-        ok = True
-        for i, x in enumerate(members):
-            if not ok:
-                break
-            for y in members[i:]:
-                if x + y > frob:
-                    break
-                if x + y in gs:
-                    ok = False
-                    break
-        if ok:
-            yield from_gaps(gaps)
+    the full monoid first, by exhausting admissible gap sets."""
+    for mask in range(1 << max_frobenius):
+        gapset = {i + 1 for i in range(max_frobenius) if mask >> i & 1}
+        if _closure_violation(gapset) is None:
+            yield from_gaps(gapset)
 
 
 def apery_set(s: NumericalMonoid, n: int) -> tuple[int, ...]:
-    """The n smallest members of s in each residue class mod n, sorted."""
+    """The least member of s in each residue class mod n, sorted."""
     if n == 0 or not s.contains(n):
         raise NotInMonoid(f"{n} is not a nonzero element of {s}")
     out = []

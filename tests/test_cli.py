@@ -89,6 +89,25 @@ def test_exit_codes(capsys):
     assert cli.run([]) == 2
 
 
+def test_multiplicity_cap_exits_before_allocating(capsys):
+    # the Apéry set would hold one entry per residue mod 1000003
+    code, out = _run(capsys, ["numon", "info", "--gens", "1000003,1000033"])
+    assert code == 3
+    assert json.loads(out)["kind"] == "cap"
+
+
+def test_recursion_depth_is_a_cap(capsys):
+    ones = ",".join(["1"] * 2400)
+    gens = ",".join(str(g) for g in range(1000, 2000))
+    for argv in (
+        ["blocks", "lengths", "--group", "2", "--element", ones],
+        ["factor", "lengths", "--gens", gens, "--element", "3001"],
+    ):
+        code, out = _run(capsys, argv)
+        assert code == 3, argv[:2]
+        assert json.loads(out)["kind"] == "cap"
+
+
 def test_pretty_flag(capsys):
     code, out = _run(capsys, ["numon", "info", "--gens", "2,3", "--pretty"])
     assert code == 0

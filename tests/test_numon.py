@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -8,8 +9,10 @@ from wktoolkit.errors import (
     InputError,
     NonPositiveGenerator,
     NotInMonoid,
+    SizeCapExceeded,
 )
 from wktoolkit.numon import (
+    MULTIPLICITY_CAP,
     MonoidIdeal,
     apery_set,
     enumerate_numerical_monoids,
@@ -76,6 +79,78 @@ def test_sieve_bound_extension_regression():
     assert s.frobenius == 103
     assert not s.contains(103)
     assert all(s.contains(n) for n in range(104, 140))
+
+
+def _atoms_from_reach(reach, multiplicity: int, conductor: int) -> tuple[int, ...]:
+    # an atom n > multiplicity satisfies n < conductor + multiplicity,
+    # since otherwise n - multiplicity >= conductor is a nonzero member
+    hi = conductor + multiplicity - 1
+    atoms = []
+    for n in range(multiplicity, hi + 1):
+        if not reach[n]:
+            continue
+        if any(reach[x] and reach[n - x] for x in range(multiplicity, n - multiplicity + 1)):
+            continue
+        atoms.append(n)
+    return tuple(atoms)
+
+
+def _sieve_reference(gens):
+    """Oracle: atoms, Frobenius number, gaps and the membership table of
+    <gens> by sieving the representable integers.  The sieve runs until the
+    top min(gens) consecutive integers are all representable; past such a
+    run everything is representable."""
+    gen_list = sorted(set(gens))
+    if gen_list[0] == 1:
+        return (1,), -1, (), bytearray([1])
+    a = gen_list[0]
+    bound = gen_list[0] * gen_list[1] + gen_list[-1] + 1
+    while True:
+        reach = bytearray(bound + 1)
+        reach[0] = 1
+        for n in range(gen_list[0], bound + 1):
+            for g in gen_list:
+                if g > n:
+                    break
+                if reach[n - g]:
+                    reach[n] = 1
+                    break
+        if all(reach[bound - a + 1 : bound + 1]):
+            break
+        bound *= 2
+    frobenius = max(n for n in range(bound + 1) if not reach[n])
+    gaps = tuple(n for n in range(1, frobenius + 1) if not reach[n])
+    return _atoms_from_reach(reach, a, frobenius + 1), frobenius, gaps, reach
+
+
+def test_apery_construction_matches_sieve_oracle():
+    rng = random.Random(2007)
+    for _ in range(200):
+        m = rng.randint(1, 40)
+        gens = [m]
+        while math.gcd(*gens) != 1 or len(gens) < 2:
+            gens.append(rng.randint(m + 1, 3 * m + 20))
+        # redundant generators: sums of two generators and multiples of m
+        gens += [rng.choice(gens) + rng.choice(gens) for _ in range(rng.randint(0, 2))]
+        gens += [m * rng.randint(2, 4) for _ in range(rng.randint(0, 1))]
+        rng.shuffle(gens)
+        s = from_generators(gens)
+        atoms, frobenius, gaps, reach = _sieve_reference(gens)
+        assert s.atoms == atoms, gens
+        assert (s.frobenius, s.conductor) == (frobenius, frobenius + 1), gens
+        assert s.gaps == gaps, gens
+        top = s.conductor + m
+        assert [n for n in range(top + 1) if s.contains(n)] == [
+            n for n in range(top + 1) if n >= len(reach) or reach[n]
+        ], gens
+        assert from_gaps(s.gaps) == s, gens
+
+
+def test_multiplicity_cap():
+    with pytest.raises(SizeCapExceeded):
+        from_generators([MULTIPLICITY_CAP + 1, MULTIPLICITY_CAP + 2])
+    s = from_generators([MULTIPLICITY_CAP, MULTIPLICITY_CAP + 1])
+    assert s.frobenius == MULTIPLICITY_CAP * (MULTIPLICITY_CAP + 1) - 2 * MULTIPLICITY_CAP - 1
 
 
 def test_from_generators_errors():
