@@ -269,7 +269,7 @@ def _factor_payload(args) -> dict:
             "input": {"generators": list(target.atoms), "element": n},
             "atoms": list(target.atoms),
             "factorizations": [list(f.exponents) for f in facs],
-            "lengths": list(factor.length_set(target, n)),
+            "lengths": sorted({f.length for f in facs}),
         }
     if args.action == "lengths":
         if args.element is None:
@@ -336,7 +336,9 @@ def _blocks_payload(args) -> dict:
             payload["factorizations"] = [
                 [a.to_json()["multiplicities"] for a in f] for f in facs
             ]
-        payload["lengths"] = list(blocks.block_length_set(g, g0, block))
+            payload["lengths"] = sorted({len(f) for f in facs})
+        else:
+            payload["lengths"] = list(blocks.block_length_set(g, g0, block))
         return payload
     if args.action == "delta":
         if args.cap is None:
@@ -432,15 +434,11 @@ def _hilbertian_payload(args) -> tuple[dict, int]:
     coeffs = parse_int_list(args.prefix)
     if args.action == "irreducible":
         f = hilbertian.PrimePolynomial(p, tuple(coeffs))
-        verdict = hilbertian.is_irreducible(f)
-        cross = hilbertian.power_irreducibility_test(f)
-        if verdict != cross:  # pragma: no cover - the two oracles agree
-            raise AssertionError("irreducibility oracles disagree")
         return (
             {
                 "input": {"p": p, "coefficients": coeffs},
                 "polynomial": str(f),
-                "irreducible": verdict,
+                "irreducible": hilbertian.is_irreducible(f),
             },
             EXIT_OK,
         )
@@ -625,12 +623,10 @@ def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.subcommand is None:
+            raise InputError("wkt: a subcommand is required")
     except InputError as exc:
-        print(str(exc), file=sys.stderr)
-        print(parser.format_usage().strip(), file=sys.stderr)
-        return EXIT_INPUT
-
-    if args.subcommand is None:
+        _emit({"error": str(exc), "kind": "input"}, False)
         print(parser.format_usage().strip(), file=sys.stderr)
         return EXIT_INPUT
 

@@ -12,8 +12,14 @@ so the engine's value is correct composition of the rules, not
 omniscience.
 
 Certificates are ordered lists of rule applications with their inputs and
-outcomes.  Every computational rule can be replayed through
-``replay_step``; flag-sourced steps replay trivially to the recorded flag.
+outcomes.  ``RULES`` is the one place where a rule's logic is written: it
+maps each rule name to its statement and to a function from the recorded
+inputs to the outcome (plus the witness, where the certificate records
+one).  Deciding a question evaluates those functions on the inputs it
+records, and ``replay_step`` evaluates the same function on the inputs a
+certificate recorded: monoid rules rebuild the monoids from the recorded
+atoms, group rules re-run the type test on the recorded group, and flag
+steps return the recorded flag.
 
 Convention, used in exactly one rule: a field counts as trivially weakly
 Krull and UMT (it has no height-one primes).  Each certificate that relies
@@ -23,14 +29,15 @@ on it says so.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, field as dc_field
-from typing import Sequence
+from typing import Callable, NamedTuple
 
 from . import groups as grp
 from .affine import AffineSumMonoid
 from .errors import InputError
 from .groups import TorsionFreeGroupDescriptor, TypeWitness, is_prime
-from .numon import NumericalMonoid, is_valuation
+from .numon import NumericalMonoid, from_generators, is_valuation
 
 
 class Flag(enum.Enum):
@@ -283,8 +290,6 @@ class MonoidDescriptor:
     gcd: Flag = Flag.UNKNOWN
     weakly_factorial: Flag = Flag.UNKNOWN
     generalized_krull: Flag = Flag.UNKNOWN
-    gcd_witness_gap: int | None = None
-    valuation_witness: tuple[int, int] | None = None
 
     def flag(self, name: str) -> Flag:
         return getattr(self, name)
@@ -310,14 +315,11 @@ def numerical_monoid_descriptor(s: NumericalMonoid) -> MonoidDescriptor:
         gcd=Flag.TRUE if free else Flag.FALSE,
         weakly_factorial=Flag.TRUE,
         generalized_krull=Flag.TRUE if is_valuation(s) else Flag.FALSE,
-        gcd_witness_gap=None if free else s.gaps[0],
-        valuation_witness=None if free else (s.atoms[0], s.atoms[1]),
     )
 
 
 def affine_monoid_descriptor(gamma: AffineSumMonoid) -> MonoidDescriptor:
     all_free = not gamma.has_proper_component
-    bad = next((s for s in gamma.components if not s.is_free), None)
     return MonoidDescriptor(
         kind="affine-sum",
         name=str(gamma),
@@ -328,8 +330,6 @@ def affine_monoid_descriptor(gamma: AffineSumMonoid) -> MonoidDescriptor:
         gcd=Flag.TRUE if all_free else Flag.FALSE,
         weakly_factorial=Flag.TRUE,
         generalized_krull=Flag.TRUE if all_free else Flag.FALSE,
-        gcd_witness_gap=None if all_free else bad.gaps[0],
-        valuation_witness=None if all_free else (bad.atoms[0], bad.atoms[1]),
     )
 
 
@@ -349,280 +349,12 @@ def custom_monoid(
 # rules
 
 
-def _flag_outcome(f: Flag) -> str:
-    return f.value
+class Rule(NamedTuple):
+    """A rule's statement, formatted with the recorded inputs, and its one
+    evaluator: recorded inputs -> (outcome, witness inputs to record)."""
 
-
-def _flag_step(side: str, owner_name: str, flag_name: str, f: Flag) -> CertStep:
-    return CertStep(
-        rule=f"{side}-flag:{flag_name}",
-        statement=f"descriptor flag {flag_name} of {owner_name}",
-        inputs={"owner": owner_name, "flag": flag_name, "value": f.value},
-        outcome=_flag_outcome(f),
-    )
-
-
-def _witness_json(w: TypeWitness | None) -> dict | None:
-    return None if w is None else w.to_json()
-
-
-def kg_weakly_krull(characteristic: int, group: TorsionFreeGroupDescriptor) -> Verdict:
-    """Whether the group algebra of the quotient group over a field of the
-    given characteristic is weakly Krull: in characteristic 0 the group
-    must be of type (0,0,0,...), in characteristic p of that type except p.
-    """
-    if characteristic == 0:
-        ok, witness = grp.is_type_000(group)
-        rule = "group-algebra-weakly-krull-char-zero"
-        statement = "K[G] is weakly Krull iff G has ACC on cyclic subgroups (type (0,0,0,...))"
-    else:
-        if not is_prime(characteristic):
-            raise InputError(f"characteristic {characteristic} is neither 0 nor prime")
-        ok, witness = grp.is_type_000_except_p(group, characteristic)
-        rule = "group-algebra-weakly-krull-char-p"
-        statement = "K[G] is weakly Krull iff G is of type (0,0,0,...) except p = char K"
-    step = CertStep(
-        rule=rule,
-        statement=statement,
-        inputs={
-            "characteristic": characteristic,
-            "group": group.to_json(),
-            "witness": _witness_json(witness),
-        },
-        outcome="true" if ok else "false",
-    )
-    return Verdict(answer=ok, certificate=[step])
-
-
-def _combine(flags_and_steps: list[tuple[bool | None, CertStep]]) -> Verdict:
-    answer: bool | None = True
-    cert = []
-    for value, step in flags_and_steps:
-        cert.append(step)
-        if value is False:
-            answer = False
-        elif value is None and answer is not False:
-            answer = None
-    return Verdict(answer=answer, certificate=cert)
-
-
-def _domain_side(d: DomainDescriptor, flag_names: Sequence[str]) -> list[tuple[bool | None, CertStep]]:
-    if d.is_field.truth and set(flag_names) <= {"weakly_krull", "umt", "gcd", "weakly_factorial", "generalized_krull"}:
-        return [
-            (
-                True,
-                CertStep(
-                    rule="field-trivial-case",
-                    statement="a field has no height-one primes and no nonzero nonunits; "
-                    "the required domain properties hold vacuously",
-                    inputs={"domain": d.name, "flags": list(flag_names)},
-                    outcome="true",
-                ),
-            )
-        ]
-    return [(d.flag(n).truth, _flag_step("domain", d.name, n, d.flag(n))) for n in flag_names]
-
-
-def _monoid_structural_steps(m: MonoidDescriptor) -> list[tuple[bool | None, CertStep]]:
-    if m.kind == "numerical":
-        return [
-            (
-                True,
-                CertStep(
-                    rule="numerical-monoid-weakly-krull-umt",
-                    statement="a numerical monoid is primary with root closure the full "
-                    "discrete valuation monoid, hence a weakly Krull UMT-monoid",
-                    inputs={"atoms": list(m.numerical.atoms)},
-                    outcome="true",
-                ),
-            )
-        ]
-    if m.kind == "affine-sum":
-        return [
-            (
-                True,
-                CertStep(
-                    rule="affine-sum-weakly-krull-umt",
-                    statement="a finite direct sum of numerical monoids is a weakly Krull "
-                    "affine monoid, and every weakly Krull affine monoid is a UMT-monoid",
-                    inputs={"components": [list(s.atoms) for s in m.affine.components]},
-                    outcome="true",
-                ),
-            )
-        ]
-    return [
-        (m.weakly_krull.truth, _flag_step("monoid", m.name, "weakly_krull", m.weakly_krull)),
-        (m.umt.truth, _flag_step("monoid", m.name, "umt", m.umt)),
-    ]
-
-
-def _group_side(d: DomainDescriptor, m: MonoidDescriptor) -> list[tuple[bool | None, CertStep]]:
-    if d.characteristic is None:
-        return [
-            (
-                None,
-                CertStep(
-                    rule="group-algebra-weakly-krull-criterion",
-                    statement="the divisibility-type test needs the characteristic of the domain",
-                    inputs={"characteristic": None, "group": m.group.to_json()},
-                    outcome="unknown",
-                ),
-            )
-        ]
-    kg = kg_weakly_krull(d.characteristic, m.group)
-    return [(kg.answer, step) for step in kg.certificate]
-
-
-def decide_weakly_krull(d: DomainDescriptor, m: MonoidDescriptor) -> Verdict:
-    """The semigroup ring is weakly Krull iff the domain is a weakly Krull
-    UMT-domain, the monoid is a weakly Krull UMT-monoid, and the quotient
-    group passes the characteristic-dependent type test."""
-    parts: list[tuple[bool | None, CertStep]] = []
-    parts.extend(_domain_side(d, ("weakly_krull", "umt")))
-    parts.extend(_monoid_structural_steps(m))
-    parts.extend(_group_side(d, m))
-    return _combine(parts)
-
-
-def decide_wfd(d: DomainDescriptor, m: MonoidDescriptor) -> Verdict:
-    """The semigroup ring is weakly factorial iff both sides are weakly
-    factorial GCD-structures and the group type test passes."""
-    parts: list[tuple[bool | None, CertStep]] = []
-    parts.extend(_domain_side(d, ("weakly_factorial", "gcd")))
-
-    if m.kind in ("numerical", "affine-sum"):
-        parts.append(
-            (
-                True,
-                CertStep(
-                    rule="primary-components-weakly-factorial",
-                    statement="every element splits into embedded components, each primary, "
-                    "so the monoid is weakly factorial",
-                    inputs={"monoid": m.name},
-                    outcome="true",
-                ),
-            )
-        )
-        gcd_ok = m.gcd.truth
-        inputs: dict = {"monoid": m.name}
-        if m.kind == "numerical":
-            inputs["atoms"] = list(m.numerical.atoms)
-            inputs["gaps"] = list(m.numerical.gaps)
-        else:
-            inputs["components"] = [list(s.atoms) for s in m.affine.components]
-        if not gcd_ok:
-            inputs["witness_gap"] = m.gcd_witness_gap
-        parts.append(
-            (
-                gcd_ok,
-                CertStep(
-                    rule="monoid-gcd-iff-root-closed",
-                    statement="a GCD monoid is root closed; these monoids are root closed "
-                    "iff they have no gaps",
-                    inputs=inputs,
-                    outcome="true" if gcd_ok else f"false (witness gap {m.gcd_witness_gap})",
-                ),
-            )
-        )
-    else:
-        parts.append((m.weakly_factorial.truth, _flag_step("monoid", m.name, "weakly_factorial", m.weakly_factorial)))
-        parts.append((m.gcd.truth, _flag_step("monoid", m.name, "gcd", m.gcd)))
-
-    parts.extend(_group_side(d, m))
-    return _combine(parts)
-
-
-def decide_generalized_krull(d: DomainDescriptor, m: MonoidDescriptor) -> Verdict:
-    """The semigroup ring is generalized Krull iff both sides are
-    generalized Krull and the group type test passes."""
-    parts: list[tuple[bool | None, CertStep]] = []
-    parts.extend(_domain_side(d, ("generalized_krull",)))
-
-    if m.kind in ("numerical", "affine-sum"):
-        ok = m.generalized_krull.truth
-        inputs = {"monoid": m.name}
-        if m.kind == "numerical":
-            inputs["atoms"] = list(m.numerical.atoms)
-        else:
-            inputs["components"] = [list(s.atoms) for s in m.affine.components]
-        if not ok:
-            inputs["witness_pair"] = list(m.valuation_witness)
-        parts.append(
-            (
-                ok,
-                CertStep(
-                    rule="monoid-generalized-krull-iff-valuation",
-                    statement="these primary monoids are generalized Krull iff they are "
-                    "valuation monoids, i.e. divisibility is total",
-                    inputs=inputs,
-                    outcome="true"
-                    if ok
-                    else f"false (neither of {m.valuation_witness} divides the other)",
-                ),
-            )
-        )
-    else:
-        parts.append((m.generalized_krull.truth, _flag_step("monoid", m.name, "generalized_krull", m.generalized_krull)))
-
-    parts.extend(_group_side(d, m))
-    return _combine(parts)
-
-
-# ---------------------------------------------------------------------------
-# certificate replay
-
-
-def replay_step(step: CertStep) -> str:
-    """Recompute a certificate step's outcome from its recorded inputs."""
-    rule = step.rule
-    inputs = step.inputs
-    if rule.startswith(("domain-flag:", "monoid-flag:")):
-        return inputs["value"]
-    if rule == "field-trivial-case":
-        return "true"
-    if rule in ("group-algebra-weakly-krull-char-zero", "group-algebra-weakly-krull-char-p"):
-        group = _group_from_json(inputs["group"])
-        ch = inputs["characteristic"]
-        ok = grp.is_type_000(group)[0] if ch == 0 else grp.is_type_000_except_p(group, ch)[0]
-        return "true" if ok else "false"
-    if rule == "group-algebra-weakly-krull-criterion":
-        return "unknown"
-    if rule == "numerical-monoid-weakly-krull-umt":
-        from .numon import from_generators, root_closure, unique_maximal_ideal
-
-        s = from_generators(inputs["atoms"])
-        closure, _ = root_closure(s)
-        unique_maximal_ideal(s)
-        return "true" if closure.is_free else "false"
-    if rule == "affine-sum-weakly-krull-umt":
-        from .numon import from_generators, root_closure
-
-        for atoms in inputs["components"]:
-            closure, _ = root_closure(from_generators(atoms))
-            if not closure.is_free:
-                return "false"
-        return "true"
-    if rule == "primary-components-weakly-factorial":
-        return "true"
-    if rule == "monoid-gcd-iff-root-closed":
-        from .numon import from_generators
-
-        atom_lists = inputs.get("components") or [inputs["atoms"]]
-        gaps = [g for atoms in atom_lists for g in from_generators(atoms).gaps]
-        if not gaps:
-            return "true"
-        return f"false (witness gap {min(gaps)})"
-    if rule == "monoid-generalized-krull-iff-valuation":
-        from .numon import from_generators
-
-        atom_lists = inputs.get("components") or [inputs["atoms"]]
-        monoids = [from_generators(atoms) for atoms in atom_lists]
-        if all(is_valuation(s) for s in monoids):
-            return "true"
-        bad = next(s for s in monoids if not is_valuation(s))
-        pair = (bad.atoms[0], bad.atoms[1])
-        return f"false (neither of {pair} divides the other)"
-    raise InputError(f"no replay rule for {rule!r}")
+    statement: str
+    evaluate: Callable[[dict], tuple[str, dict]]
 
 
 def _group_from_json(data: dict) -> TorsionFreeGroupDescriptor:
@@ -638,3 +370,204 @@ def _group_from_json(data: dict) -> TorsionFreeGroupDescriptor:
             sym = grp.SymbolicPrimeClass(cap, bool(s["complement_infinite"]))
         comps.append(grp.Rank1GroupDescriptor(tuple(exceptions), sym))
     return TorsionFreeGroupDescriptor(tuple(comps))
+
+
+def _type_test(ok_and_witness: tuple[bool, TypeWitness | None]) -> tuple[str, dict]:
+    ok, witness = ok_and_witness
+    return "true" if ok else "false", {"witness": None if witness is None else witness.to_json()}
+
+
+def _monoids(inputs: dict) -> list[NumericalMonoid]:
+    """The recorded numerical monoid, or the components of the recorded sum;
+    atoms that generate no numerical monoid raise InputError."""
+    atom_lists = inputs["components"] if "components" in inputs else [inputs["atoms"]]
+    return [from_generators(atoms) for atoms in atom_lists]
+
+
+def _gcd_iff_root_closed(inputs: dict) -> tuple[str, dict]:
+    bad = next((s for s in _monoids(inputs) if not s.is_free), None)
+    if bad is None:
+        return "true", {}
+    gap = next(n for n in itertools.count(1) if n not in bad)
+    return f"false (witness gap {gap})", {"witness_gap": gap}
+
+
+def _generalized_krull_iff_valuation(inputs: dict) -> tuple[str, dict]:
+    bad = next((s for s in _monoids(inputs) if not is_valuation(s)), None)
+    if bad is None:
+        return "true", {}
+    pair = (bad.atoms[0], bad.atoms[1])
+    return f"false (neither of {pair} divides the other)", {"witness_pair": list(pair)}
+
+
+def _check_monoids(inputs: dict) -> tuple[str, dict]:
+    _monoids(inputs)
+    return "true", {}
+
+
+_FLAG_RULE = Rule("descriptor flag {flag} of {owner}", lambda i: (i["value"], {}))
+
+# rule name (for descriptor flags, the part before ":") -> Rule
+RULES: dict[str, Rule] = {
+    "domain-flag": _FLAG_RULE,
+    "monoid-flag": _FLAG_RULE,
+    "field-trivial-case": Rule(
+        "a field has no height-one primes and no nonzero nonunits; "
+        "the required domain properties hold vacuously",
+        lambda i: ("true", {}),
+    ),
+    "group-algebra-weakly-krull-char-zero": Rule(
+        "K[G] is weakly Krull iff G has ACC on cyclic subgroups (type (0,0,0,...))",
+        lambda i: _type_test(grp.is_type_000(_group_from_json(i["group"]))),
+    ),
+    "group-algebra-weakly-krull-char-p": Rule(
+        "K[G] is weakly Krull iff G is of type (0,0,0,...) except p = char K",
+        lambda i: _type_test(grp.is_type_000_except_p(_group_from_json(i["group"]), i["characteristic"])),
+    ),
+    "group-algebra-weakly-krull-criterion": Rule(
+        "the divisibility-type test needs the characteristic of the domain",
+        lambda i: ("unknown", {}),
+    ),
+    "numerical-monoid-weakly-krull-umt": Rule(
+        "a numerical monoid is primary with root closure the full "
+        "discrete valuation monoid, hence a weakly Krull UMT-monoid",
+        _check_monoids,
+    ),
+    "affine-sum-weakly-krull-umt": Rule(
+        "a finite direct sum of numerical monoids is a weakly Krull "
+        "affine monoid, and every weakly Krull affine monoid is a UMT-monoid",
+        _check_monoids,
+    ),
+    "primary-components-weakly-factorial": Rule(
+        "every element splits into embedded components, each primary, "
+        "so the monoid is weakly factorial",
+        lambda i: ("true", {}),
+    ),
+    "monoid-gcd-iff-root-closed": Rule(
+        "a GCD monoid is root closed; these monoids are root closed iff they have no gaps",
+        _gcd_iff_root_closed,
+    ),
+    "monoid-generalized-krull-iff-valuation": Rule(
+        "these primary monoids are generalized Krull iff they are "
+        "valuation monoids, i.e. divisibility is total",
+        _generalized_krull_iff_valuation,
+    ),
+}
+
+
+def _rule(name: str) -> Rule:
+    rule = RULES.get(name.partition(":")[0])
+    if rule is None:
+        raise InputError(f"no replay rule for {name!r}")
+    return rule
+
+
+def _step(name: str, inputs: dict) -> CertStep:
+    rule = _rule(name)
+    outcome, witness = rule.evaluate(inputs)
+    return CertStep(name, rule.statement.format(**inputs), {**inputs, **witness}, outcome)
+
+
+def replay_step(step: CertStep) -> str:
+    """Recompute a certificate step's outcome from its recorded inputs."""
+    return _rule(step.rule).evaluate(step.inputs)[0]
+
+
+# ---------------------------------------------------------------------------
+# questions
+
+
+class _Question(NamedTuple):
+    flags: tuple[str, ...]  # required of the domain and of a custom monoid
+    numerical: tuple[tuple[str, tuple[str, ...]], ...]  # (rule, recorded inputs) per step
+    affine_sum: tuple[tuple[str, tuple[str, ...]], ...]
+
+
+_MONOID_INPUTS = {
+    "monoid": lambda m: m.name,
+    "atoms": lambda m: list(m.numerical.atoms),
+    "gaps": lambda m: list(m.numerical.gaps),
+    "components": lambda m: [list(s.atoms) for s in m.affine.components],
+}
+
+_QUESTIONS = {
+    "group-algebra": _Question((), (), ()),
+    "weakly-krull": _Question(
+        ("weakly_krull", "umt"),
+        (("numerical-monoid-weakly-krull-umt", ("atoms",)),),
+        (("affine-sum-weakly-krull-umt", ("components",)),),
+    ),
+    "wfd": _Question(
+        ("weakly_factorial", "gcd"),
+        (
+            ("primary-components-weakly-factorial", ("monoid",)),
+            ("monoid-gcd-iff-root-closed", ("monoid", "atoms", "gaps")),
+        ),
+        (
+            ("primary-components-weakly-factorial", ("monoid",)),
+            ("monoid-gcd-iff-root-closed", ("monoid", "components")),
+        ),
+    ),
+    "generalized-krull": _Question(
+        ("generalized_krull",),
+        (("monoid-generalized-krull-iff-valuation", ("monoid", "atoms")),),
+        (("monoid-generalized-krull-iff-valuation", ("monoid", "components")),),
+    ),
+}
+
+
+def _flag_step(side: str, owner_name: str, flag_name: str, f: Flag) -> CertStep:
+    return _step(f"{side}-flag:{flag_name}", {"owner": owner_name, "flag": flag_name, "value": f.value})
+
+
+def _decide(question: str, d: DomainDescriptor, m: MonoidDescriptor) -> Verdict:
+    """All steps the question needs, in order: the domain side, the monoid
+    side, then the type test on the quotient group.  A false step makes the
+    answer false; otherwise an unknown step makes it unknown."""
+    q = _QUESTIONS[question]
+    if d.is_field.truth:
+        steps = [_step("field-trivial-case", {"domain": d.name, "flags": list(q.flags)})]
+    else:
+        steps = [_flag_step("domain", d.name, n, d.flag(n)) for n in q.flags]
+    if m.kind == "custom":
+        steps += [_flag_step("monoid", m.name, n, m.flag(n)) for n in q.flags]
+    else:
+        rules = q.numerical if m.kind == "numerical" else q.affine_sum
+        steps += [_step(rule, {k: _MONOID_INPUTS[k](m) for k in keys}) for rule, keys in rules]
+    group_rule = {None: "criterion", 0: "char-zero"}.get(d.characteristic, "char-p")
+    steps.append(
+        _step(
+            f"group-algebra-weakly-krull-{group_rule}",
+            {"characteristic": d.characteristic, "group": m.group.to_json()},
+        )
+    )
+    truths = [Flag(s.outcome.split()[0]).truth for s in steps]
+    answer = False if False in truths else None if None in truths else True
+    return Verdict(answer=answer, certificate=steps)
+
+
+def kg_weakly_krull(characteristic: int, group: TorsionFreeGroupDescriptor) -> Verdict:
+    """Whether the group algebra of the quotient group over a field of the
+    given characteristic is weakly Krull: in characteristic 0 the group
+    must be of type (0,0,0,...), in characteristic p of that type except p.
+    """
+    return _decide("group-algebra", custom_domain(characteristic), custom_monoid(group))
+
+
+def decide_weakly_krull(d: DomainDescriptor, m: MonoidDescriptor) -> Verdict:
+    """The semigroup ring is weakly Krull iff the domain is a weakly Krull
+    UMT-domain, the monoid is a weakly Krull UMT-monoid, and the quotient
+    group passes the characteristic-dependent type test."""
+    return _decide("weakly-krull", d, m)
+
+
+def decide_wfd(d: DomainDescriptor, m: MonoidDescriptor) -> Verdict:
+    """The semigroup ring is weakly factorial iff both sides are weakly
+    factorial GCD-structures and the group type test passes."""
+    return _decide("wfd", d, m)
+
+
+def decide_generalized_krull(d: DomainDescriptor, m: MonoidDescriptor) -> Verdict:
+    """The semigroup ring is generalized Krull iff both sides are
+    generalized Krull and the group type test passes."""
+    return _decide("generalized-krull", d, m)

@@ -9,11 +9,10 @@ reproducible byte for byte, and a miss within ``max_degree`` only means no
 witness that small, never a disproof.
 
 Polynomials are coefficient tuples, constant term first, entries reduced
-mod p, leading coefficient nonzero.  Irreducibility is decided by trial
-division by every monic polynomial of at most half the degree; a second,
-independent test (the finite-field power test: X^(p^n) congruent to X, and
-gcd(X^(p^(n/q)) - X, f) trivial for prime q dividing n) is exposed as
-``power_irreducibility_test`` for cross-checking.
+mod p, leading coefficient nonzero.  Irreducibility is decided by the
+finite-field power test (Rabin, *SIAM J. Comput.* 9, 1980): f of degree n is
+irreducible iff X^(p^n) is congruent to X mod f and gcd(X^(p^(n/q)) - X, f)
+is trivial for every prime q dividing n.
 """
 
 from __future__ import annotations
@@ -125,22 +124,7 @@ def poly_gcd(a: Coeffs, b: Coeffs, p: int) -> Coeffs:
 
 
 def is_irreducible(f: PrimePolynomial) -> bool:
-    """Trial division by every monic polynomial of degree at most deg(f)/2."""
-    if f.degree == 0:
-        raise ConstantPolynomial("irreducibility is about polynomials of degree >= 1")
-    if f.degree == 1:
-        return True
-    p = f.p
-    for d in range(1, f.degree // 2 + 1):
-        for lower in itertools.product(range(p), repeat=d):
-            g = lower + (1,)
-            if not poly_mod(f.coefficients, g, p):
-                return False
-    return True
-
-
-def power_irreducibility_test(f: PrimePolynomial) -> bool:
-    """Independent irreducibility oracle via the finite-field power test."""
+    """The finite-field power test."""
     if f.degree == 0:
         raise ConstantPolynomial("irreducibility is about polynomials of degree >= 1")
     n = f.degree

@@ -5,7 +5,8 @@ integers.  It is stored by its atoms and its Apéry set with respect to the
 multiplicity m: ``apery[r]`` is the least member of S congruent to r mod m.
 The rest follows from these m integers (Rosales & García-Sánchez,
 *Numerical Semigroups*, 2009): n belongs iff n >= apery[n mod m], the
-Frobenius number is max(apery) - m, and the gaps are the n < apery[n mod m].
+Frobenius number is max(apery) - m, and the gaps are the n < apery[n mod m],
+so there are sum(apery[r] // m) of them (the genus, Selmer 1977).
 
 Fractional ideals are nonempty subsets I of the integers with I + S
 contained in I and a minimum element.  Every such I is cofinite above, so
@@ -35,6 +36,8 @@ from .errors import (
 
 # largest multiplicity from_generators accepts; the Apéry set has that many entries
 MULTIPLICITY_CAP = 10**5
+# largest number of gaps NumericalMonoid.gaps lists
+GAPS_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -57,6 +60,10 @@ class NumericalMonoid:
     @cached_property
     def gaps(self) -> tuple[int, ...]:
         m = self.multiplicity
+        # the genus: apery[r] // m gaps lie in the class of r (Selmer)
+        genus = sum(w // m for w in self.apery)
+        if genus > GAPS_CAP:
+            raise SizeCapExceeded(f"{genus} gaps exceed the cap {GAPS_CAP}")
         return tuple(sorted(n for r, w in enumerate(self.apery) for n in range(r, w, m)))
 
     @property

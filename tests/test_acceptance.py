@@ -46,7 +46,7 @@ from wktoolkit.groups import (
     prime_power_union,
     satisfies_i_prime,
 )
-from wktoolkit.hilbertian import find_irreducible_with_prefix, power_irreducibility_test
+from wktoolkit.hilbertian import find_irreducible_with_prefix
 from wktoolkit.numon import (
     apery_set,
     enumerate_numerical_monoids,
@@ -58,6 +58,7 @@ from wktoolkit.numon import (
     unique_maximal_ideal,
     v_closure,
 )
+from tests_support_trial_division import trial_division_irreducible
 
 
 @contextlib.contextmanager
@@ -301,7 +302,7 @@ def test_criterion_9_pseudo_hilbertian_witnesses():
                 assert w is not None, (p, pre)
                 assert w.degree <= 12
                 assert w.coefficients[: len(pre)] == pre
-                assert power_irreducibility_test(w)  # independent oracle
+                assert trial_division_irreducible(w)  # independent oracle
 
 
 def test_criterion_10_determinism(tmp_path, capsys):

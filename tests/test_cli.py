@@ -96,6 +96,30 @@ def test_multiplicity_cap_exits_before_allocating(capsys):
     assert json.loads(out)["kind"] == "cap"
 
 
+def test_gap_cap_exits_before_allocating(capsys):
+    # <30011,30013> passes the multiplicity cap but has 450,330,060 gaps:
+    # listing them is capped before the list is built, deciding needs none
+    gens = "30011,30013"
+    code, out = _run(capsys, ["numon", "info", "--gens", gens])
+    assert code == 3
+    assert json.loads(out)["kind"] == "cap"
+    code, out = _run(capsys, ["decide", "wfd", "--domain", "z", "--monoid", "numerical:" + gens])
+    assert code == 3  # the wfd certificate records the gap list
+    assert json.loads(out)["kind"] == "cap"
+    code, out = _run(capsys, ["decide", "weakly-krull", "--domain", "z", "--monoid", "numerical:" + gens])
+    assert code == 0
+    assert json.loads(out)["answer"] is True
+
+
+def test_parse_errors_end_in_one_json_document(capsys):
+    for argv in (["bogus"], ["numon", "bogus"], [], ["numon", "info", "--bogus", "1"]):
+        code = cli.run(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert json.loads(captured.out)["kind"] == "input", argv
+        assert "usage: wkt" in captured.err, argv
+
+
 def test_recursion_depth_is_a_cap(capsys):
     ones = ",".join(["1"] * 2400)
     gens = ",".join(str(g) for g in range(1000, 2000))

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -168,6 +169,31 @@ def test_certificates_replay():
     for verdict in scenarios:
         for step in verdict.certificate:
             assert replay_step(step) == step.outcome
+
+
+def test_certificates_replay_on_random_pairs():
+    from tests_support_random import random_domain, random_monoid
+
+    rng = random.Random(53)
+    for _ in range(200):
+        d = random_domain(rng)
+        m = random_monoid(rng)
+        for decide in (decide_weakly_krull, decide_wfd, decide_generalized_krull):
+            for step in decide(d, m).certificate:
+                assert replay_step(step) == step.outcome, step
+
+
+def test_replay_recomputes_from_tampered_inputs():
+    wfd = decide_wfd(integers_z(), numerical_monoid_descriptor(from_generators([2, 3])))
+    gcd_step = next(s for s in wfd.certificate if s.rule == "monoid-gcd-iff-root-closed")
+    assert gcd_step.outcome == "false (witness gap 1)"
+    tampered = dataclasses.replace(gcd_step, inputs={**gcd_step.inputs, "atoms": [1]})
+    assert replay_step(tampered) == "true"
+
+    wk = decide_weakly_krull(integers_z(), numerical_monoid_descriptor(from_generators([2, 3])))
+    umt_step = next(s for s in wk.certificate if s.rule == "numerical-monoid-weakly-krull-umt")
+    with pytest.raises(InputError):  # gcd 2: no numerical monoid
+        replay_step(dataclasses.replace(umt_step, inputs={"atoms": [2, 4]}))
 
 
 def test_unknown_never_guessed():

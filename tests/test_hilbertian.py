@@ -15,8 +15,8 @@ from wktoolkit.hilbertian import (
     poly_gcd,
     poly_mod,
     poly_mul,
-    power_irreducibility_test,
 )
+from tests_support_trial_division import trial_division_irreducible
 
 
 def test_polynomial_validation():
@@ -54,7 +54,7 @@ def test_oracles_agree_exhaustively():
             for body in itertools.product(range(p), repeat=deg):
                 for lead in range(1, p):
                     f = PrimePolynomial(p, body + (lead,))
-                    assert is_irreducible(f) == power_irreducibility_test(f), f
+                    assert is_irreducible(f) == trial_division_irreducible(f), f
 
 
 def test_known_irreducible_counts():
@@ -79,7 +79,7 @@ def test_find_irreducible_contract_examples():
     w3 = find_irreducible_with_prefix(3, (1, 0, 0), 6)
     assert w3 is not None
     assert w3.coefficients[:3] == (1, 0, 0)
-    assert is_irreducible(w3) and power_irreducibility_test(w3)
+    assert is_irreducible(w3) and trial_division_irreducible(w3)
 
 
 def test_find_irreducible_not_found_is_not_a_disproof():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from wktoolkit import numon
 from wktoolkit.errors import (
     EmptyGenerators,
     GcdNotOne,
@@ -151,6 +152,14 @@ def test_multiplicity_cap():
         from_generators([MULTIPLICITY_CAP + 1, MULTIPLICITY_CAP + 2])
     s = from_generators([MULTIPLICITY_CAP, MULTIPLICITY_CAP + 1])
     assert s.frobenius == MULTIPLICITY_CAP * (MULTIPLICITY_CAP + 1) - 2 * MULTIPLICITY_CAP - 1
+
+
+def test_gap_cap(monkeypatch):
+    # <a,b> has (a-1)(b-1)/2 gaps; the cap is checked on that count before listing
+    monkeypatch.setattr(numon, "GAPS_CAP", 6)
+    assert len(from_generators([4, 5]).gaps) == 6
+    with pytest.raises(SizeCapExceeded):
+        from_generators([4, 7]).gaps
 
 
 def test_from_generators_errors():

@@ -1,0 +1,19 @@
+"""Trial division, the irreducibility oracle for the power test in
+``wktoolkit.hilbertian``: f is irreducible iff no monic polynomial of
+degree at most deg(f)/2 divides it."""
+
+import itertools
+
+from wktoolkit.errors import ConstantPolynomial
+from wktoolkit.hilbertian import PrimePolynomial, poly_mod
+
+
+def trial_division_irreducible(f: PrimePolynomial) -> bool:
+    if f.degree == 0:
+        raise ConstantPolynomial("irreducibility is about polynomials of degree >= 1")
+    p = f.p
+    for d in range(1, f.degree // 2 + 1):
+        for lower in itertools.product(range(p), repeat=d):
+            if not poly_mod(f.coefficients, lower + (1,), p):
+                return False
+    return True
