@@ -14,24 +14,33 @@ A pair is valid when the multiset sum plus iota(t) vanishes.  This family
 realizes the pairing construction concretely while staying enumerable;
 inputs are user-supplied surrogates and results say so.
 
-Monoid-level distance and U_k sets are reported as capped
-under-approximations, like in the factorization module.  Factorizations of
-a single fixed element are exact: every atom in a factorization divides
-the element, so the element itself bounds the search.
+Length sets never list factorizations.  One memoized recursion, the mask
+of x being the OR over the atoms a dividing x of the mask of x - a shifted
+by one, serves single blocks, the monoid-level sweeps (atoms up to the
+length cap found once, one memo per sweep, refused up front past
+SWEEP_CAP steps) and T-blocks.  Distance and U_k sets are read off the
+masks as in the factorization module and reported as capped
+under-approximations.  Length sets and factorizations of one element are
+exact: every atom in a factorization divides the element, so the element
+bounds the search.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import reduce
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, GroupTooLarge, InputError, NotZeroSum
-from .factor import BoundedResult, delta_of
+from .factor import BoundedResult, delta_union, lengths_of, uk_union
 from .groups import FiniteAbelianGroup
 from .numon import NumericalMonoid
 
 GROUP_CAP = 64
+SWEEP_CAP = 10**6
 
 Element = tuple[int, ...]
 
@@ -84,20 +93,23 @@ def _normalize_g0(group: FiniteAbelianGroup, g0: Iterable[Sequence[int]] | None)
 
 
 def minimal_zero_sum_atoms(
-    group: FiniteAbelianGroup, g0: Iterable[Sequence[int]] | None = None
+    group: FiniteAbelianGroup,
+    g0: Iterable[Sequence[int]] | None = None,
+    max_length: int | None = None,
 ) -> list[Block]:
-    """All minimal zero-sum sequences over g0 (default: the whole group).
+    """All minimal zero-sum sequences over g0 (default: the whole group),
+    of length at most ``max_length`` when it is given.
 
     Depth-first search over nondecreasing sequences; a branch dies as soon
     as some proper nonempty sub-multiset sums to zero, because that
     sub-multiset survives in every extension.  Depth is capped at the
-    group order by the distinct-prefix-sum argument.
+    group order by the distinct-prefix-sum argument, or at ``max_length``.
     """
     _check_group(group)
     support = _normalize_g0(group, g0)
     zero = group.zero()
     atoms: list[Block] = []
-    cap = group.order
+    cap = group.order if max_length is None else min(group.order, max_length)
 
     def rec(start: int, seq: list[Element], total: Element, proper_sums: frozenset[Element]):
         if seq:
@@ -140,17 +152,42 @@ def davenport_constant(group: FiniteAbelianGroup) -> int:
     return max(b.length for b in minimal_zero_sum_atoms(group, nonzero))
 
 
-def _sub_multiset(inner: dict[Element, int], outer: dict[Element, int]) -> bool:
-    return all(outer.get(e, 0) >= m for e, m in inner.items())
+def _packing(elements: Sequence[Element], max_count: int) -> tuple[Callable, Callable]:
+    """Multisets over ``elements`` with multiplicities up to ``max_count`` as
+    integers, one field per element with a guard bit on top.  ``pack``
+    encodes a multiset; ``minus(x, a)`` is x - a, or None when a does not
+    divide x, seen as a field of (x | guard) - a that lost its guard bit."""
+    width = max_count.bit_length() + 1
+    shift = {e: width * i for i, e in enumerate(elements)}
+    guard = sum(1 << (s + width - 1) for s in shift.values())
+
+    def pack(multiset: Iterable[Element]) -> int:
+        return sum(1 << shift[e] for e in multiset)
+
+    def minus(x: int, a: int) -> int | None:
+        return x - a if ((x | guard) - a) & guard == guard else None
+
+    return pack, minus
 
 
-def _subtract(outer: dict[Element, int], inner: dict[Element, int]) -> dict[Element, int]:
-    out = dict(outer)
-    for e, m in inner.items():
-        out[e] -= m
-        if not out[e]:
-            del out[e]
-    return out
+def _packed_atoms(
+    group: FiniteAbelianGroup,
+    g0: Iterable[Sequence[int]] | None,
+    block: Block | Iterable[Sequence[int]],
+) -> tuple[int, list[Block], list[int], Callable]:
+    """The packed block, the atoms over g0 (default: the block's support)
+    that divide it, the packed atoms and their ``minus``."""
+    _check_group(group)
+    if not isinstance(block, Block):
+        block = Block.make(group, block)
+    support = _normalize_g0(group, block.elements if g0 is None else g0)
+    for e in block.elements:
+        if e not in support:
+            raise InputError(f"block element {e} lies outside g0")
+    pack, minus = _packing(support, max(block.length, group.order))
+    x = pack(block.elements)
+    atoms = [a for a in minimal_zero_sum_atoms(group, support, block.length) if minus(x, pack(a.elements)) is not None]
+    return x, atoms, [pack(a.elements) for a in atoms], minus
 
 
 def block_factorizations(
@@ -160,29 +197,39 @@ def block_factorizations(
 ) -> list[tuple[Block, ...]]:
     """All decompositions of a block into atoms, as canonically ordered
     atom tuples.  Exact: only atoms dividing the block can appear."""
-    _check_group(group)
-    if not isinstance(block, Block):
-        block = Block.make(group, block)
-    support = _normalize_g0(group, block.elements if g0 is None else g0)
-    for e in block.elements:
-        if e not in support:
-            raise InputError(f"block element {e} lies outside g0")
-    atoms = [a for a in minimal_zero_sum_atoms(group, support) if _sub_multiset(a.multiplicities(), block.multiplicities())]
+    x, atoms, packed, minus = _packed_atoms(group, g0, block)
     results: list[tuple[Block, ...]] = []
 
-    def rec(remaining: dict[Element, int], start: int, chosen: list[Block]):
+    def rec(remaining: int, start: int, chosen: list[Block]):
         if not remaining:
             results.append(tuple(chosen))
             return
         for j in range(start, len(atoms)):
-            am = atoms[j].multiplicities()
-            if _sub_multiset(am, remaining):
+            rest = minus(remaining, packed[j])
+            if rest is not None:
                 chosen.append(atoms[j])
-                rec(_subtract(remaining, am), j, chosen)
+                rec(rest, j, chosen)
                 chosen.pop()
 
-    rec(block.multiplicities(), 0, [])
+    rec(x, 0, [])
     return results
+
+
+def _length_mask(x, atoms: Sequence, remainder: Callable, memo: dict) -> int:
+    """Bit l set iff x is a product of l atoms: the OR, over the atoms a
+    dividing x, of the mask of x - a shifted by one.  ``remainder(x, a)``
+    is x - a, or None when a does not divide x; ``memo`` starts as
+    {identity: 1} and keeps every mask found."""
+    mask = memo.get(x)
+    if mask is None:
+        mask = 0
+        for a in atoms:
+            rest = remainder(x, a)
+            if rest is not None:
+                mask |= _length_mask(rest, atoms, remainder, memo)
+        mask <<= 1
+        memo[x] = mask
+    return mask
 
 
 def block_length_set(
@@ -190,29 +237,34 @@ def block_length_set(
     g0: Iterable[Sequence[int]] | None,
     block: Block | Iterable[Sequence[int]],
 ) -> tuple[int, ...]:
-    return tuple(sorted({len(f) for f in block_factorizations(group, g0, block)}))
+    x, _, packed, minus = _packed_atoms(group, g0, block)
+    return lengths_of(_length_mask(x, packed, minus, {0: 1}))
 
 
-def _zero_sum_blocks_up_to(group: FiniteAbelianGroup, length_cap: int):
+def _sweep_masks(group: FiniteAbelianGroup, length_cap: int) -> Iterator[int]:
+    """Length masks of all blocks of length at most the cap, with the atoms
+    found once and one memo shared by the whole sweep.  Refused up front
+    when the C(|G| + cap, cap) multisets times their length exceed
+    SWEEP_CAP; the atom search visits no more multisets than that."""
+    _check_group(group)
+    steps = math.comb(group.order + length_cap, length_cap) * length_cap if length_cap > 0 else 0
+    if steps > SWEEP_CAP:
+        raise CapExceeded(f"{steps} sweep steps up to length {length_cap} exceed the cap {SWEEP_CAP}")
     elems = sorted(group.elements())
+    pack, minus = _packing(elems, length_cap)
+    atoms = [pack(a.elements) for a in minimal_zero_sum_atoms(group, None, length_cap)]
+    memo = {0: 1}
     zero = group.zero()
     for k in range(length_cap + 1):
         for combo in itertools.combinations_with_replacement(elems, k):
-            total = zero
-            for e in combo:
-                total = group.add(total, e)
-            if total == zero:
-                yield Block(group, combo)
+            if reduce(group.add, combo, zero) == zero:
+                yield _length_mask(pack(combo), atoms, minus, memo)
 
 
 def delta_block_monoid(group: FiniteAbelianGroup, length_cap: int) -> BoundedResult:
     """Union of distance sets over all blocks of length at most the cap."""
-    _check_group(group)
-    values: set[int] = set()
-    for b in _zero_sum_blocks_up_to(group, length_cap):
-        values.update(delta_of(block_length_set(group, None, b)))
     return BoundedResult(
-        values=tuple(sorted(values)),
+        values=delta_union(_sweep_masks(group, length_cap)),
         cap=length_cap,
         complete=False,
         note="block-monoid surrogate; union over blocks up to the length cap only",
@@ -224,13 +276,8 @@ def uk_block_monoid(group: FiniteAbelianGroup, k: int, length_cap: int) -> Bound
     _check_group(group)
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
-    values: set[int] = set()
-    for b in _zero_sum_blocks_up_to(group, length_cap):
-        ls = block_length_set(group, None, b)
-        if k in ls:
-            values.update(ls)
     return BoundedResult(
-        values=tuple(sorted(values)),
+        values=uk_union(_sweep_masks(group, length_cap), k),
         cap=length_cap,
         complete=False,
         note="block-monoid surrogate; union over blocks up to the length cap only",
@@ -398,37 +445,17 @@ def tblock_length_set(
         raise CapExceeded(f"block length {len(e.elements)} exceeds cap {block_cap}")
     if t_caps is not None and any(ti > c for ti, c in zip(e.t, t_caps)):
         raise CapExceeded("a t-coordinate exceeds its cap")
-    if e.is_identity:
-        return TBlockLengthResult(values=(0,))
-
     divisor_atoms = [d for d in _proper_divisors(spec, e) if _is_tblock_atom(spec, d)]
     if _is_tblock_atom(spec, e):
         divisor_atoms.append(e)
-    divisor_atoms.sort(key=lambda a: (a.elements, a.t))
-
-    lengths: set[int] = set()
 
     def remainder(big: TBlockElement, small: TBlockElement) -> TBlockElement | None:
-        bm, sm = big.block_multiplicities(), small.block_multiplicities()
-        if not _sub_multiset(sm, bm):
-            return None
+        left = Counter(big.elements)
+        left.subtract(small.elements)
         t_rest = tuple(b - s for b, s in zip(big.t, small.t))
-        if any(x < 0 or x not in d for x, (d, _) in zip(t_rest, spec.components)):
+        if min(left.values(), default=0) < 0 or any(x < 0 or x not in d for x, (d, _) in zip(t_rest, spec.components)):
             return None
-        rest = _subtract(bm, sm)
-        elems = []
-        for g, c in sorted(rest.items()):
-            elems.extend([g] * c)
-        return TBlockElement(tuple(elems), t_rest)
+        return TBlockElement(tuple(sorted(left.elements())), t_rest)
 
-    def rec(current: TBlockElement, start: int, count: int):
-        if current.is_identity:
-            lengths.add(count)
-            return
-        for j in range(start, len(divisor_atoms)):
-            rest = remainder(current, divisor_atoms[j])
-            if rest is not None:
-                rec(rest, j, count + 1)
-
-    rec(e, 0, 0)
-    return TBlockLengthResult(values=tuple(sorted(lengths)))
+    identity = TBlockElement((), (0,) * len(e.t))
+    return TBlockLengthResult(values=lengths_of(_length_mask(e, divisor_atoms, remainder, {identity: 1})))

@@ -659,8 +659,12 @@ def run(argv: list[str] | None = None) -> int:
         _emit({"error": str(exc), "kind": "cap"}, args.pretty)
         return EXIT_CAP
     except RecursionError:
-        # the factorization searches recurse one level per atom or per chosen block atom
+        # numerical length sets are iterative; the factorization listing recurses
+        # once per atom, block and T-block length sets once per atom taken off
         _emit({"error": "input too large: recursion depth exceeded", "kind": "cap"}, args.pretty)
+        return EXIT_CAP
+    except MemoryError:
+        _emit({"error": "input too large: out of memory", "kind": "cap"}, args.pretty)
         return EXIT_CAP
     except ToolkitError as exc:
         _emit({"error": str(exc), "kind": "error"}, args.pretty)

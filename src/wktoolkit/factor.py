@@ -2,8 +2,11 @@
 
 ``factorizations`` enumerates every way to write an element as a
 nonnegative combination of the atoms, in lexicographic order of exponent
-vectors, so output is deterministic and byte-stable.  Length sets, distance
-sets and the unions U_k derive from it.
+vectors, so output is deterministic and byte-stable.  Length sets do not
+enumerate: ``length_masks`` holds them as bitmasks, computed bottom-up for
+all elements up to a bound, with its size capped before it allocates.
+``delta_union`` and ``uk_union`` read distance sets and U_k off the masks,
+for the block monoids too.
 
 Distance sets and U_k of a whole monoid are genuinely infinite unions, so
 the monoid-level operations take an explicit element bound and return a
@@ -19,11 +22,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Sequence
+from operator import or_
+from typing import Iterable, Iterator, Sequence
 
 from .affine import AffineSumMonoid
-from .errors import BoundTooSmall, InputError, NotInMonoid
+from .errors import BoundTooSmall, InputError, NotInMonoid, SizeCapExceeded
 from .numon import NumericalMonoid
+
+CELLS_CAP = 10**6
+WINDOW_CAP = 10**8
 
 
 @dataclass(frozen=True)
@@ -79,8 +86,72 @@ def factorizations(s: NumericalMonoid, n: int) -> list[Factorization]:
     return out
 
 
+def _least_length(s: NumericalMonoid, n: int) -> int:
+    # no factorization of n has fewer than n / max(atoms) atoms
+    return -(-n // s.atoms[-1])
+
+
+def length_masks(s: NumericalMonoid, bound: int) -> Iterator[tuple[int, int]]:
+    """``(n, mask)`` for n = 0..bound, where bit l of ``mask`` is set iff n
+    is a sum of lo(n) + l atoms, lo(n) = ``_least_length(s, n)``.  This is
+    L(n) = U_a (L(n - a) + 1) (Barron, O'Neill & Pelayo, *Math. Comp.* 86,
+    2017) stored from the least possible length, so a mask is at most
+    n // m - lo(n) + 1 bits wide: mask(0) = 1 and mask(n) is the OR of
+    mask(n - a) << (1 + lo(n - a) - lo(n)), a shift that is 1 exactly when
+    a <= (n - 1) % max(atoms).  Only the last min(max(atoms), bound + 1)
+    masks are kept."""
+    atoms = s.atoms
+    top = atoms[-1]
+    size = min(top, bound + 1)
+    width = bound // atoms[0] - _least_length(s, bound) + 1
+    if (bound + 1) * len(atoms) > CELLS_CAP:
+        raise SizeCapExceeded(f"{(bound + 1) * len(atoms)} length-set cells exceed the cap {CELLS_CAP}")
+    if size * width > WINDOW_CAP:
+        raise SizeCapExceeded(f"a window of {size * width} bits exceeds the cap {WINDOW_CAP}")
+    window = [0] * size
+    for n in range(bound + 1):
+        r = (n - 1) % top
+        mask = 1 if n == 0 else reduce(or_, [window[(n - a) % size] << (a <= r) for a in atoms if a <= n], 0)
+        window[n % size] = mask
+        yield n, mask
+
+
+def lengths_of(mask: int) -> tuple[int, ...]:
+    """The positions of the set bits of ``mask``, ascending."""
+    return tuple(i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1")
+
+
+def delta_union(masks: Iterable[int]) -> tuple[int, ...]:
+    """Union of the distance sets of the length sets held in ``masks``.
+    ``rest`` holds the lengths above the least whose predecessor is not yet
+    found, so the loop runs up to the largest distance, not over the bits."""
+    values: set[int] = set()
+    for mask in masks:
+        rest, d = mask & (mask - 1), 1
+        while rest:
+            behind = mask << d
+            if rest & behind:
+                values.add(d)
+            rest &= ~behind
+            d += 1
+    return tuple(sorted(values))
+
+
+def uk_union(masks: Iterable[int], k: int) -> tuple[int, ...]:
+    """Union of the length sets held in ``masks`` that contain k."""
+    return lengths_of(reduce(or_, (mask for mask in masks if mask >> k & 1), 0))
+
+
+def _mask(s: NumericalMonoid, n: int) -> int:
+    if not s.contains(n):
+        raise NotInMonoid(f"{n} is not in {s}")
+    for _, mask in length_masks(s, n):
+        pass
+    return mask << _least_length(s, n)
+
+
 def length_set(s: NumericalMonoid, n: int) -> tuple[int, ...]:
-    return tuple(sorted({f.length for f in factorizations(s, n)}))
+    return lengths_of(_mask(s, n))
 
 
 def affine_length_set(gamma: AffineSumMonoid, vec: Sequence[int]) -> tuple[int, ...]:
@@ -88,9 +159,11 @@ def affine_length_set(gamma: AffineSumMonoid, vec: Sequence[int]) -> tuple[int, 
     length sets, since every atom lives in a single component."""
     if not gamma.contains(vec):
         raise NotInMonoid(f"{tuple(vec)} is not in {gamma}")
-    parts = [set(length_set(s, v)) for s, v in zip(gamma.components, vec)]
-    total = reduce(lambda acc, part: {a + b for a in acc for b in part}, parts, {0})
-    return tuple(sorted(total))
+    total = 1
+    for s, v in zip(gamma.components, vec):
+        part = _mask(s, v)
+        total = reduce(or_, (part << shift for shift in lengths_of(total)))
+    return lengths_of(total)
 
 
 def delta_of(lengths: Sequence[int]) -> tuple[int, ...]:
@@ -111,11 +184,8 @@ def delta_monoid_bounded(s: NumericalMonoid, bound: int) -> BoundedResult:
     under-approximation of the distance set of the monoid."""
     if bound < s.conductor:
         raise BoundTooSmall(f"bound {bound} is below the conductor {s.conductor}")
-    values: set[int] = set()
-    for n in s.elements_up_to(bound):
-        values.update(delta_of(length_set(s, n)))
     return BoundedResult(
-        values=tuple(sorted(values)),
+        values=delta_union(mask for _, mask in length_masks(s, bound)),
         cap=bound,
         complete=False,
         note="union over elements up to the bound only",
@@ -127,13 +197,10 @@ def uk_bounded(s: NumericalMonoid, k: int, bound: int) -> BoundedResult:
     """Union of the length sets containing k, over elements up to ``bound``."""
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
-    values: set[int] = set()
-    for n in s.elements_up_to(bound):
-        ls = length_set(s, n)
-        if k in ls:
-            values.update(ls)
+    # k lies in L(n) only if n <= k * max(atoms)
+    masks = (mask << _least_length(s, n) for n, mask in length_masks(s, bound) if n <= k * s.atoms[-1])
     return BoundedResult(
-        values=tuple(sorted(values)),
+        values=uk_union(masks, k),
         cap=bound,
         complete=False,
         note="union over elements up to the bound only",

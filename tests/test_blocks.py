@@ -1,8 +1,12 @@
 import itertools
+import math
+import random
 
 import pytest
+from tests_support_tblock import tblock_lengths_by_recursion
 
 from wktoolkit.blocks import (
+    SWEEP_CAP,
     Block,
     TBlockElement,
     TBlockSpec,
@@ -16,7 +20,8 @@ from wktoolkit.blocks import (
     tblock_validate,
     uk_block_monoid,
 )
-from wktoolkit.errors import GroupTooLarge, InputError, NotZeroSum
+from wktoolkit.errors import CapExceeded, GroupTooLarge, InputError, NotZeroSum
+from wktoolkit.factor import delta_of
 from wktoolkit.groups import FiniteAbelianGroup, cyclic
 from wktoolkit.numon import from_generators
 
@@ -277,3 +282,98 @@ def test_tblock_caps():
         tblock_length_set(spec, TBlockElement.make(spec, [(1,)], (3,)), block_cap=0)
     with pytest.raises(InputError):
         tblock_atoms_bounded(spec, 2, (1, 2))
+
+
+def _random_block(rng, group, support, max_len):
+    elems = [rng.choice(support) for _ in range(rng.randint(0, max_len))]
+    total = group.zero()
+    for e in elems:
+        total = group.add(total, e)
+    return elems + [group.scale(-1, total)]
+
+
+def _enumerated_block_length_set(group, g0, elems):
+    # the oracle: every factorization listed, only the lengths kept
+    return tuple(sorted({len(f) for f in block_factorizations(group, g0, elems)}))
+
+
+def test_block_length_set_matches_factorization_oracle():
+    rng = random.Random(8)
+    for facs in ((1,), (2,), (3,), (4,), (2, 2), (5,), (6,), (7,), (8,), (2, 4), (2, 2, 2)):
+        g = cyclic(facs[0]) if len(facs) == 1 else FiniteAbelianGroup(facs)
+        elements = sorted(g.elements())
+        for _ in range(12):
+            elems = _random_block(rng, g, elements, 9)
+            assert block_length_set(g, None, elems) == _enumerated_block_length_set(g, None, elems), (facs, elems)
+            g0 = sorted(set(g.reduce(e) for e in elems) | set(rng.sample(elements, 2 if len(elements) > 1 else 1)))
+            assert block_length_set(g, g0, elems) == _enumerated_block_length_set(g, g0, elems), (facs, elems)
+
+
+def test_block_sweeps_match_per_block_oracle():
+    for facs, cap in (((2,), 8), ((3,), 7), ((4,), 6), ((2, 2), 6), ((5,), 5), ((6,), 5)):
+        g = FiniteAbelianGroup(facs)
+        per_block = []
+        for k in range(cap + 1):
+            for combo in itertools.combinations_with_replacement(sorted(g.elements()), k):
+                total = g.zero()
+                for e in combo:
+                    total = g.add(total, e)
+                if total == g.zero():
+                    per_block.append(_enumerated_block_length_set(g, None, combo))
+        deltas = set()
+        for ls in per_block:
+            deltas.update(delta_of(ls))
+        assert delta_block_monoid(g, cap).values == tuple(sorted(deltas)), facs
+        for k in range(1, cap + 1):
+            union = set()
+            for ls in per_block:
+                if k in ls:
+                    union.update(ls)
+            assert uk_block_monoid(g, k, cap).values == tuple(sorted(union)), (facs, k)
+
+
+def test_block_sweep_cap():
+    # C(|G| + cap, cap) multisets of length up to cap: C(16, 8) * 8 = 102,960 steps for C8 at cap 8
+    with pytest.raises(CapExceeded):
+        delta_block_monoid(cyclic(64), 50)
+    with pytest.raises(CapExceeded):
+        uk_block_monoid(cyclic(16), 2, 16)  # C(32, 16) * 16 > 10**6
+    with pytest.raises(CapExceeded):
+        delta_block_monoid(cyclic(1), 999999)  # 10**6 multisets, but 10**12 steps
+    assert math.comb(16, 8) * 8 <= SWEEP_CAP < math.comb(32, 16) * 16
+    assert delta_block_monoid(cyclic(2), -1).values == ()
+
+
+def test_block_sweeps_search_only_atoms_up_to_the_cap():
+    # the whole-group atom search of C64 runs to depth 64; the sweep stops at the cap
+    assert delta_block_monoid(cyclic(64), 2).values == ()
+    assert uk_block_monoid(cyclic(64), 2, 2).values == (2,)
+    assert uk_block_monoid(cyclic(5), 1, 1).values == (1,)  # the atom 0 is as long as the cap
+    c8 = cyclic(8)
+    short = minimal_zero_sum_atoms(c8, None, 3)
+    assert short == [b for b in minimal_zero_sum_atoms(c8) if b.length <= 3]
+    assert max(b.length for b in short) == 3
+
+
+def test_tblock_length_set_matches_recursion_oracle():
+    rng = random.Random(12)
+    checked = 0
+    for facs, comps in (
+        ((2,), [([2, 3], (1,))]),
+        ((3,), [([2, 5], (1,))]),
+        ((4,), [([2, 3], (1,)), ([3, 4], (2,))]),
+        ((2, 2), [([2, 3], (1, 0)), ([2, 5], (0, 1))]),
+    ):
+        g = FiniteAbelianGroup(facs)
+        spec = TBlockSpec.make(g, list(g.elements()), [(from_generators(d), gi) for d, gi in comps])
+        drawn = 0
+        while drawn < 15:
+            elems = [rng.choice(spec.g0) for _ in range(rng.randint(0, 5))]
+            t = [rng.randint(0, 8) for _ in spec.components]
+            e = TBlockElement.make(spec, elems, t)
+            if not tblock_validate(spec, e):
+                continue
+            drawn += 1
+            assert tblock_length_set(spec, e).values == tblock_lengths_by_recursion(spec, e), (facs, elems, t)
+            checked += len(tblock_length_set(spec, e).values) > 1
+    assert checked  # some drawn element has more than one length

@@ -132,6 +132,63 @@ def test_recursion_depth_is_a_cap(capsys):
         assert json.loads(out)["kind"] == "cap"
 
 
+def test_length_dp_caps_exit_before_allocating(capsys):
+    # (bound + 1) * len(atoms) cells and max(atoms) * (bound // m + 1) window bits
+    for argv in (
+        ["factor", "delta", "--gens", "2,3", "--bound", "1000000000"],
+        ["factor", "uk", "--gens", "2,3", "--k", "2", "--bound", "1000000000"],
+        ["factor", "lengths", "--gens", "2,3", "--element", "1000000"],
+        ["factor", "lengths", "--gens", "2,200001", "--element", "400002"],
+        ["factor", "lengths", "--gens", "2,3;2,3", "--element", "6,1000000"],
+    ):
+        code, out = _run(capsys, argv)
+        assert code == 3, argv
+        assert json.loads(out)["kind"] == "cap"
+    # membership comes first: a non-member past the window cap is an input error
+    code, out = _run(capsys, ["factor", "lengths", "--gens", "2,200001", "--element", "199999"])
+    assert code == 2
+    assert json.loads(out)["kind"] == "input"
+
+
+def test_block_sweep_cap_exits_at_once(capsys):
+    # C(|G| + cap, cap) multisets of length up to cap would be swept
+    for argv in (
+        ["blocks", "delta", "--group", "64", "--cap", "50"],
+        ["blocks", "uk", "--group", "64", "--k", "2", "--cap", "50"],
+        ["blocks", "delta", "--group", "1", "--cap", "999999"],
+    ):
+        code, out = _run(capsys, argv)
+        assert code == 3, argv
+        assert json.loads(out)["kind"] == "cap"
+
+
+def test_short_sweeps_over_large_groups_answer(capsys):
+    # C(66, 2) = 2145 multisets; only atoms of length <= 2 are searched
+    code, out = _run(capsys, ["blocks", "delta", "--group", "64", "--cap", "2"])
+    assert code == 0
+    assert json.loads(out)["values"] == []
+    code, out = _run(capsys, ["blocks", "uk", "--group", "2,2,2,2,2,2", "--k", "2", "--cap", "3"])
+    assert code == 0
+    assert json.loads(out)["values"] == [2]
+
+
+def test_point_query_of_the_free_monoid_near_the_cell_cap(capsys):
+    # every mask of <1> is one bit wide, so the pass is linear in the element
+    code, out = _run(capsys, ["factor", "lengths", "--gens", "1", "--element", "999999"])
+    assert code == 0
+    assert json.loads(out)["lengths"] == [999999]
+
+
+def test_memory_error_is_a_cap(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._HANDLERS, "factor", exhausted)
+    code, out = _run(capsys, ["factor", "lengths", "--gens", "2,3", "--element", "6"])
+    assert code == 3
+    assert json.loads(out) == {"error": "input too large: out of memory", "kind": "cap"}
+
+
 def test_pretty_flag(capsys):
     code, out = _run(capsys, ["numon", "info", "--gens", "2,3", "--pretty"])
     assert code == 0

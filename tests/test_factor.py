@@ -4,16 +4,24 @@ import random
 
 import pytest
 
+from tests_support_random import random_numerical_monoid
+
+from wktoolkit import blocks, factor
 from wktoolkit.affine import direct_sum
-from wktoolkit.errors import BoundTooSmall, InputError, NotInMonoid
+from wktoolkit.errors import BoundTooSmall, InputError, NotInMonoid, SizeCapExceeded
 from wktoolkit.factor import (
+    CELLS_CAP,
+    WINDOW_CAP,
     affine_length_set,
     delta_monoid_bounded,
     delta_of,
     factorizations,
+    length_masks,
     length_set,
+    lengths_of,
     uk_bounded,
 )
+from wktoolkit.groups import cyclic
 from wktoolkit.numon import from_generators
 
 
@@ -153,3 +161,104 @@ def test_enumeration_byte_stable():
     first = json.dumps([f.exponents for f in factorizations(s, 30)])
     second = json.dumps([f.exponents for f in factorizations(s, 30)])
     assert first == second
+
+
+def _enumerated_length_set(s, n):
+    # the oracle: every factorization listed, only the lengths kept
+    return tuple(sorted({f.length for f in factorizations(s, n)}))
+
+
+def test_length_masks_match_factorization_oracle():
+    rng = random.Random(2017)
+    for _ in range(200):
+        s = random_numerical_monoid(rng)
+        top = s.conductor + 40
+        for n, mask in length_masks(s, top):
+            if s.contains(n):
+                assert length_set(s, n) == _enumerated_length_set(s, n), (s.atoms, n)
+                # masks start at the least possible length, ceil(n / max(atoms))
+                assert lengths_of(mask << -(-n // s.atoms[-1])) == length_set(s, n), (s.atoms, n)
+            else:
+                assert mask == 0, (s.atoms, n)
+
+
+def test_bounded_unions_match_per_element_oracle():
+    rng = random.Random(2006)
+    for _ in range(60):
+        s = random_numerical_monoid(rng)
+        bound = s.conductor + rng.randint(0, 40)
+        per_element = [_enumerated_length_set(s, n) for n in s.elements_up_to(bound)]
+        deltas = set()
+        for ls in per_element:
+            deltas.update(delta_of(ls))
+        assert delta_monoid_bounded(s, bound).values == tuple(sorted(deltas)), s.atoms
+        for k in range(1, 7):
+            union = set()
+            for ls in per_element:
+                if k in ls:
+                    union.update(ls)
+            assert uk_bounded(s, k, bound).values == tuple(sorted(union)), (s.atoms, k)
+
+
+def test_affine_length_set_matches_brute_force_on_larger_elements():
+    rng = random.Random(61)
+    for _ in range(60):
+        comps = [random_numerical_monoid(rng, 4) for _ in range(rng.randint(1, 3))]
+        g = direct_sum(comps)
+        vec = [rng.choice(list(s.elements_up_to(45))) for s in comps]
+        lengths = {0}
+        for s, v in zip(comps, vec):
+            part = {sum(c) for c in _oracle_factorizations(s.atoms, v)}
+            lengths = {a + b for a in lengths for b in part}
+        assert affine_length_set(g, tuple(vec)) == tuple(sorted(lengths)), (g, vec)
+
+
+def test_length_invariants_never_enumerate_factorizations(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated every factorization")
+
+    monkeypatch.setattr(factor, "factorizations", refuse)
+    monkeypatch.setattr(blocks, "block_factorizations", refuse)
+    s = from_generators([3, 5, 7])
+    assert length_set(s, 15) == (3, 5)
+    assert affine_length_set(direct_sum([from_generators([2, 3]), s]), (6, 15)) == (5, 6, 7, 8)
+    assert delta_monoid_bounded(from_generators([3, 5]), 60).values == (2,)
+    assert uk_bounded(from_generators([3, 5]), 3, 60).values == (3, 5)
+    c3 = cyclic(3)
+    assert blocks.block_length_set(c3, None, [(1,)] * 3 + [(2,)] * 3) == (2, 3)
+    assert blocks.delta_block_monoid(c3, 9).values == (1,)
+    assert blocks.uk_block_monoid(c3, 2, 12).values == (2, 3)
+
+
+def test_length_dp_caps(monkeypatch):
+    # cells: (bound + 1) * len(atoms); window: min(max(atoms), bound + 1) masks
+    # of bound // m - ceil(bound / max(atoms)) + 1 bits each
+    with pytest.raises(SizeCapExceeded):
+        length_set(from_generators([2, 3]), CELLS_CAP // 2)
+    with pytest.raises(SizeCapExceeded):
+        delta_monoid_bounded(from_generators([2, 3]), 10**9)
+    wide = from_generators([2, 200001])
+    assert (300000 + 1) * 2 <= CELLS_CAP < WINDOW_CAP < 200001 * (300000 // 2 - 2 + 1)
+    with pytest.raises(SizeCapExceeded):
+        uk_bounded(wide, 2, 300000)
+    with pytest.raises(NotInMonoid):  # membership is checked before the caps
+        length_set(wide, 199999)
+    # the window holds min(max(atoms), bound + 1) masks: 11 here, not 10**9 + 1
+    assert length_set(from_generators([2, 10**9 + 1]), 10) == (5,)
+    monkeypatch.setattr(factor, "CELLS_CAP", 20)
+    assert length_set(from_generators([2, 3]), 9) == (3, 4)
+    with pytest.raises(SizeCapExceeded):
+        length_set(from_generators([2, 3]), 10)
+    monkeypatch.setattr(factor, "WINDOW_CAP", 5)
+    assert length_set(from_generators([2, 3]), 7) == (3,)  # 3 * (3 - 3 + 1) bits
+    with pytest.raises(SizeCapExceeded):
+        length_set(from_generators([2, 3]), 8)  # 3 * (4 - 3 + 1) bits
+
+
+def test_length_masks_hold_only_the_possible_lengths():
+    # every element of <1> has the single length n, so every mask is one bit
+    assert {mask for _, mask in length_masks(from_generators([1]), 5000)} == {1}
+    assert length_set(from_generators([1]), CELLS_CAP - 1) == (CELLS_CAP - 1,)
+    # lengths of n in <3, 5> lie in [ceil(n / 5), n // 3]
+    for n, mask in length_masks(from_generators([3, 5]), 300):
+        assert mask.bit_length() <= n // 3 - -(-n // 5) + 1, n

@@ -72,3 +72,15 @@ def random_monoid(rng):
             return custom_monoid(random_group(rng), **flags)
         except InputError:
             continue
+
+
+def random_numerical_monoid(rng, max_multiplicity=6):
+    """A numerical monoid of multiplicity at most ``max_multiplicity`` from
+    up to four generators, some of which may be redundant."""
+    while True:
+        m = rng.randint(1, max_multiplicity)
+        gens = [m] + [rng.randint(m + 1, 3 * m + 4) for _ in range(rng.randint(1, 3))]
+        try:
+            return from_generators(gens)
+        except InputError:
+            continue
