@@ -247,7 +247,9 @@ def _sweep_masks(group: FiniteAbelianGroup, length_cap: int) -> Iterator[int]:
     when the C(|G| + cap, cap) multisets times their length exceed
     SWEEP_CAP; the atom search visits no more multisets than that."""
     _check_group(group)
-    steps = math.comb(group.order + length_cap, length_cap) * length_cap if length_cap > 0 else 0
+    if length_cap < 0:
+        raise InputError(f"length cap must be >= 0, got {length_cap}")
+    steps = math.comb(group.order + length_cap, length_cap) * length_cap
     if steps > SWEEP_CAP:
         raise CapExceeded(f"{steps} sweep steps up to length {length_cap} exceed the cap {SWEEP_CAP}")
     elems = sorted(group.elements())

@@ -5,6 +5,13 @@ timestamps, so equal inputs produce identical bytes.  Results that depend
 on a search cap say so via ``"complete": false`` plus the cap.  Exit
 codes: 0 success, 2 input error, 3 cap exceeded, 4 not-found outcome.
 
+``ACTIONS`` is the one place that says which action reads which flag: one
+row per ``(subcommand, action)`` names the flags the action requires, the
+flags it accepts, and the function that builds its payload.  The parser is
+built from the table, so a missing flag, a flag the action does not read
+and an integer flag that is not an integer all exit 2 through argparse;
+``wkt SUB ACTION --help`` lists an action's flags.
+
 The cache is an append-only file of one JSON record per line, keyed by the
 canonical serialized request plus the package version.  Corrupt lines are
 skipped with a warning; an unwritable cache directory disables caching but
@@ -34,10 +41,13 @@ Input grammars (shared by several subcommands):
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import hashlib
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 from . import __version__
 from . import affine, blocks, classgrp, decide, factor, groups, hilbertian, numon
@@ -54,6 +64,7 @@ CACHE_FILE = "wkt-cache.jsonl"
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # keep argparse from calling sys.exit directly
+        self.print_usage(sys.stderr)
         raise InputError(f"{self.prog}: {message}")
 
 
@@ -116,6 +127,8 @@ def parse_group_descriptor(text: str) -> groups.TorsionFreeGroupDescriptor:
             if not sep:
                 raise InputError(f"descriptor token {tok!r} needs the form prime^cap or sym^cap")
             if head == "sym":
+                if symbolic is not None:
+                    raise InputError(f"repeated sym^ entry in {part!r}")
                 complement_infinite = True
                 if cap_text.endswith("~fin"):
                     complement_infinite = False
@@ -178,7 +191,10 @@ def _parse_kv(text: str, sep: str) -> dict[str, str]:
         key, eq, value = tok.partition("=")
         if not eq:
             raise InputError(f"expected key=value, got {tok!r}")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in out:
+            raise InputError(f"repeated key {key!r} in {text!r}")
+        out[key] = value.strip()
     return out
 
 
@@ -199,46 +215,35 @@ def parse_monoid(text: str) -> decide.MonoidDescriptor:
 
 
 # ---------------------------------------------------------------------------
-# payload builders, one per subcommand action
+# payload builders; each reads only the flags its ACTIONS row declares
 
 
-def _monoid_from_args(args) -> numon.NumericalMonoid:
-    if args.gens is None:
-        raise InputError("--gens is required")
-    return numon.from_generators(parse_int_list(args.gens))
+def _numon_info(args) -> dict:
+    gens = parse_int_list(args.gens)
+    s = numon.from_generators(gens)
+    seminormal, witness = numon.is_seminormal(s)
+    return {
+        "input": {"generators": gens},
+        "atoms": list(s.atoms),
+        "frobenius": s.frobenius,
+        "conductor": s.conductor,
+        "gaps": list(s.gaps),
+        "seminormal": seminormal,
+        "seminormal_witness_gap": witness,
+        "valuation": numon.is_valuation(s),
+    }
 
 
-def _numon_payload(args) -> dict:
-    if args.action == "info":
-        s = _monoid_from_args(args)
-        seminormal, witness = numon.is_seminormal(s)
-        return {
-            "input": {"generators": parse_int_list(args.gens)},
-            "atoms": list(s.atoms),
-            "frobenius": s.frobenius,
-            "conductor": s.conductor,
-            "gaps": list(s.gaps),
-            "seminormal": seminormal,
-            "seminormal_witness_gap": witness,
-            "valuation": numon.is_valuation(s),
-        }
-    if args.action == "apery":
-        s = _monoid_from_args(args)
-        if args.element is None:
-            raise InputError("--element is required")
-        n = int(args.element)
-        return {
-            "input": {"generators": list(s.atoms), "modulus": n},
-            "apery": list(numon.apery_set(s, n)),
-        }
-    raise InputError(f"unknown numon action {args.action!r}")
+def _numon_apery(args) -> dict:
+    s = numon.from_generators(parse_int_list(args.gens))
+    n = int(args.element)
+    return {
+        "input": {"generators": list(s.atoms), "modulus": n},
+        "apery": list(numon.apery_set(s, n)),
+    }
 
 
-def _affine_payload(args) -> dict:
-    if args.action != "info":
-        raise InputError(f"unknown affine action {args.action!r}")
-    if args.gens is None:
-        raise InputError("--gens is required")
+def _affine_info(args) -> dict:
     gamma = affine.direct_sum([numon.from_generators(g) for g in parse_components(args.gens)])
     return {
         "input": gamma.to_json(),
@@ -248,256 +253,260 @@ def _affine_payload(args) -> dict:
 
 
 def _factor_target(args):
-    if args.gens is None:
-        raise InputError("--gens is required")
     comps = parse_components(args.gens)
     if len(comps) == 1:
         return numon.from_generators(comps[0]), False
     return affine.direct_sum([numon.from_generators(g) for g in comps]), True
 
 
-def _factor_payload(args) -> dict:
+def _factor_factorizations(args) -> dict:
     target, is_affine = _factor_target(args)
-    if args.action == "factorizations":
-        if is_affine:
-            raise InputError("factorization listing is for numerical monoids; use lengths for sums")
-        if args.element is None:
-            raise InputError("--element is required")
-        n = int(args.element)
-        facs = factor.factorizations(target, n)
-        return {
-            "input": {"generators": list(target.atoms), "element": n},
-            "atoms": list(target.atoms),
-            "factorizations": [list(f.exponents) for f in facs],
-            "lengths": sorted({f.length for f in facs}),
-        }
-    if args.action == "lengths":
-        if args.element is None:
-            raise InputError("--element is required")
-        if is_affine:
-            vec = parse_int_list(args.element)
-            lengths = factor.affine_length_set(target, vec)
-            return {
-                "input": {"monoid": target.to_json(), "element": vec},
-                "lengths": list(lengths),
-                "delta": list(factor.delta_of(lengths)),
-            }
-        n = int(args.element)
-        lengths = factor.length_set(target, n)
-        return {
-            "input": {"monoid": target.to_json(), "element": n},
-            "lengths": list(lengths),
-            "delta": list(factor.delta_of(lengths)),
-        }
-    if args.action == "delta":
-        if is_affine:
-            raise InputError("bounded delta is for numerical monoids")
-        if args.bound is None:
-            raise InputError("--bound is required")
-        res = factor.delta_monoid_bounded(target, int(args.bound))
-        return {"input": {"monoid": target.to_json(), "bound": int(args.bound)}, **res.to_json()}
-    if args.action == "uk":
-        if is_affine:
-            raise InputError("bounded U_k is for numerical monoids")
-        if args.k is None or args.bound is None:
-            raise InputError("--k and --bound are required")
-        res = factor.uk_bounded(target, int(args.k), int(args.bound))
-        return {
-            "input": {"monoid": target.to_json(), "k": int(args.k), "bound": int(args.bound)},
-            **res.to_json(),
-        }
-    raise InputError(f"unknown factor action {args.action!r}")
-
-
-def _blocks_payload(args) -> dict:
-    if args.group is None:
-        raise InputError("--group is required")
-    g = parse_group(args.group)
-    g0 = None if args.g0 is None else parse_block(args.g0)
-    if args.action == "atoms":
-        atoms = blocks.minimal_zero_sum_atoms(g, g0)
-        return {
-            "input": {"group": list(g.invariant_factors)},
-            "atoms": [b.to_json()["multiplicities"] for b in atoms],
-            "count": len(atoms),
-        }
-    if args.action == "davenport":
-        return {
-            "input": {"group": list(g.invariant_factors)},
-            "davenport_constant": blocks.davenport_constant(g),
-        }
-    if args.action in ("lengths", "factorizations"):
-        if args.element is None:
-            raise InputError("--element is required")
-        block = blocks.Block.make(g, parse_block(args.element))
-        payload = {"input": block.to_json()}
-        if args.action == "factorizations":
-            facs = blocks.block_factorizations(g, g0, block)
-            payload["factorizations"] = [
-                [a.to_json()["multiplicities"] for a in f] for f in facs
-            ]
-            payload["lengths"] = sorted({len(f) for f in facs})
-        else:
-            payload["lengths"] = list(blocks.block_length_set(g, g0, block))
-        return payload
-    if args.action == "delta":
-        if args.cap is None:
-            raise InputError("--cap is required")
-        res = blocks.delta_block_monoid(g, int(args.cap))
-        return {"input": {"group": list(g.invariant_factors)}, **res.to_json()}
-    if args.action == "uk":
-        if args.cap is None or args.k is None:
-            raise InputError("--k and --cap are required")
-        res = blocks.uk_block_monoid(g, int(args.k), int(args.cap))
-        return {
-            "input": {"group": list(g.invariant_factors), "k": int(args.k)},
-            **res.to_json(),
-        }
-    raise InputError(f"unknown blocks action {args.action!r}")
-
-
-def _classgroup_payload(args) -> dict:
-    if args.action == "numerical":
-        if args.p is None or args.gens is None:
-            raise InputError("--p and --gens are required")
-        s = numon.from_generators(parse_int_list(args.gens))
-        result = classgrp.cv_numerical_ring(int(args.p), s)
-        return {"input": {"p": int(args.p), "monoid": s.to_json()}, "class_group": result.to_json()}
-    if args.action == "direct-sum":
-        if args.gens is None:
-            raise InputError("--gens is required (components separated by ';')")
-        comps = [numon.from_generators(g) for g in parse_components(args.gens)]
-        base = _base_field_from_args(args)
-        entries = [classgrp.SymbolicComponent(s, base) for s in comps]
-        result = classgrp.cv_direct_sum(entries)
-        return {
-            "input": {
-                "components": [s.to_json() for s in comps],
-                "domain": args.domain or "fp/function-field default",
-            },
-            "class_group": result.to_json(),
-        }
-    raise InputError(f"unknown classgroup action {args.action!r}")
-
-
-def _base_field_from_args(args) -> classgrp.BaseField:
-    if args.domain is None:
-        if args.p is not None:
-            return classgrp.BaseField.prime_field(int(args.p))
-        raise InputError("--domain or --p is required")
-    d = parse_domain(args.domain)
-    if d.kind == "prime-field":
-        return classgrp.BaseField.prime_field(d.characteristic)
-    return classgrp.BaseField(
-        prime=None,
-        infinite=d.infinite.truth,
-        pseudo_hilbertian=d.pseudo_hilbertian.truth,
-    )
-
-
-def _apply_char_override(d: decide.DomainDescriptor, char_text: str | None) -> decide.DomainDescriptor:
-    if char_text is None:
-        return d
-    import dataclasses
-
-    char = int(char_text)
-    if char != 0 and not groups.is_prime(char):
-        raise InputError(f"--char must be 0 or prime, got {char}")
-    if d.characteristic is not None and d.characteristic != char:
-        raise InputError(f"--char {char} contradicts the domain's characteristic {d.characteristic}")
-    return dataclasses.replace(d, characteristic=char)
-
-
-def _decide_payload(args) -> dict:
-    if args.domain is None or args.monoid is None:
-        raise InputError("--domain and --monoid are required")
-    d = _apply_char_override(parse_domain(args.domain), args.char)
-    m = parse_monoid(args.monoid)
-    ops = {
-        "weakly-krull": decide.decide_weakly_krull,
-        "wfd": decide.decide_wfd,
-        "generalized-krull": decide.decide_generalized_krull,
+    if is_affine:
+        raise InputError("factorization listing is for numerical monoids; use lengths for sums")
+    n = int(args.element)
+    facs = factor.factorizations(target, n)
+    return {
+        "input": {"generators": list(target.atoms), "element": n},
+        "atoms": list(target.atoms),
+        "factorizations": [list(f.exponents) for f in facs],
+        "lengths": sorted({f.length for f in facs}),
     }
-    if args.action not in ops:
-        raise InputError(f"unknown decide action {args.action!r}")
-    verdict = ops[args.action](d, m)
+
+
+def _factor_lengths(args) -> dict:
+    target, is_affine = _factor_target(args)
+    if is_affine:
+        element = parse_int_list(args.element)
+        lengths = factor.affine_length_set(target, element)
+    else:
+        element = int(args.element)
+        lengths = factor.length_set(target, element)
+    return {
+        "input": {"monoid": target.to_json(), "element": element},
+        "lengths": list(lengths),
+        "delta": list(factor.delta_of(lengths)),
+    }
+
+
+def _factor_delta(args) -> dict:
+    target, is_affine = _factor_target(args)
+    if is_affine:
+        raise InputError("bounded delta is for numerical monoids")
+    res = factor.delta_monoid_bounded(target, args.bound)
+    return {"input": {"monoid": target.to_json(), "bound": args.bound}, **res.to_json()}
+
+
+def _factor_uk(args) -> dict:
+    target, is_affine = _factor_target(args)
+    if is_affine:
+        raise InputError("bounded U_k is for numerical monoids")
+    res = factor.uk_bounded(target, args.k, args.bound)
+    return {"input": {"monoid": target.to_json(), "k": args.k, "bound": args.bound}, **res.to_json()}
+
+
+def _g0(args):
+    return None if args.g0 is None else parse_block(args.g0)
+
+
+def _blocks_atoms(args) -> dict:
+    g = parse_group(args.group)
+    atoms = blocks.minimal_zero_sum_atoms(g, _g0(args))
+    return {
+        "input": {"group": list(g.invariant_factors)},
+        "atoms": [b.to_json()["multiplicities"] for b in atoms],
+        "count": len(atoms),
+    }
+
+
+def _blocks_davenport(args) -> dict:
+    g = parse_group(args.group)
+    return {
+        "input": {"group": list(g.invariant_factors)},
+        "davenport_constant": blocks.davenport_constant(g),
+    }
+
+
+def _blocks_lengths(args) -> dict:
+    g = parse_group(args.group)
+    g0 = _g0(args)
+    block = blocks.Block.make(g, parse_block(args.element))
+    return {"input": block.to_json(), "lengths": list(blocks.block_length_set(g, g0, block))}
+
+
+def _blocks_factorizations(args) -> dict:
+    g = parse_group(args.group)
+    g0 = _g0(args)
+    block = blocks.Block.make(g, parse_block(args.element))
+    facs = blocks.block_factorizations(g, g0, block)
+    return {
+        "input": block.to_json(),
+        "factorizations": [[a.to_json()["multiplicities"] for a in f] for f in facs],
+        "lengths": sorted({len(f) for f in facs}),
+    }
+
+
+def _blocks_delta(args) -> dict:
+    g = parse_group(args.group)
+    res = blocks.delta_block_monoid(g, args.cap)
+    return {"input": {"group": list(g.invariant_factors)}, **res.to_json()}
+
+
+def _blocks_uk(args) -> dict:
+    g = parse_group(args.group)
+    res = blocks.uk_block_monoid(g, args.k, args.cap)
+    return {"input": {"group": list(g.invariant_factors), "k": args.k}, **res.to_json()}
+
+
+def _classgroup_numerical(args) -> dict:
+    s = numon.from_generators(parse_int_list(args.gens))
+    result = classgrp.cv_numerical_ring(args.p, s)
+    return {"input": {"p": args.p, "monoid": s.to_json()}, "class_group": result.to_json()}
+
+
+def _classgroup_direct_sum(args) -> dict:
+    comps = [numon.from_generators(g) for g in parse_components(args.gens)]
+    if args.domain is None:
+        base = classgrp.BaseField.prime_field(args.p)
+    else:
+        d = parse_domain(args.domain)
+        if d.kind == "prime-field":
+            base = classgrp.BaseField.prime_field(d.characteristic)
+        else:
+            base = classgrp.BaseField(prime=None, infinite=d.infinite.truth, pseudo_hilbertian=d.pseudo_hilbertian.truth)
+    result = classgrp.cv_direct_sum([classgrp.SymbolicComponent(s, base) for s in comps])
+    return {
+        "input": {
+            "components": [s.to_json() for s in comps],
+            "domain": args.domain or "fp/function-field default",
+        },
+        "class_group": result.to_json(),
+    }
+
+
+def _decide(args, question) -> dict:
+    d = parse_domain(args.domain)
+    if args.char is not None:
+        if args.char != 0 and not groups.is_prime(args.char):
+            raise InputError(f"--char must be 0 or prime, got {args.char}")
+        if d.characteristic is not None and d.characteristic != args.char:
+            raise InputError(f"--char {args.char} contradicts the domain's characteristic {d.characteristic}")
+        d = dataclasses.replace(d, characteristic=args.char)
+    m = parse_monoid(args.monoid)
     return {
         "input": {"domain": args.domain, "monoid": args.monoid, "question": args.action},
-        **verdict.to_json(),
+        **question(d, m).to_json(),
     }
 
 
-def _hilbertian_payload(args) -> tuple[dict, int]:
-    if args.p is None or args.prefix is None:
-        raise InputError("--p and --prefix are required")
-    p = int(args.p)
+def _hilbertian_irreducible(args) -> dict:
     coeffs = parse_int_list(args.prefix)
-    if args.action == "irreducible":
-        f = hilbertian.PrimePolynomial(p, tuple(coeffs))
-        return (
-            {
-                "input": {"p": p, "coefficients": coeffs},
-                "polynomial": str(f),
-                "irreducible": hilbertian.is_irreducible(f),
-            },
-            EXIT_OK,
-        )
-    if args.action == "find":
-        if args.max_degree is None:
-            raise InputError("--max-degree is required")
-        witness = hilbertian.find_irreducible_with_prefix(p, tuple(coeffs), int(args.max_degree))
-        base = {"input": {"p": p, "prefix": coeffs, "max_degree": int(args.max_degree)}}
-        if witness is None:
-            base.update({"found": False, "note": "no witness within max_degree; not a disproof"})
-            return base, EXIT_NOT_FOUND
-        base.update(
-            {
-                "found": True,
-                "coefficients": list(witness.coefficients),
-                "degree": witness.degree,
-                "polynomial": str(witness),
-            }
-        )
-        return base, EXIT_OK
-    raise InputError(f"unknown hilbertian action {args.action!r}")
+    f = hilbertian.PrimePolynomial(args.p, tuple(coeffs))
+    return {
+        "input": {"p": args.p, "coefficients": coeffs},
+        "polynomial": str(f),
+        "irreducible": hilbertian.is_irreducible(f),
+    }
 
 
-def _groups_payload(args) -> dict:
-    if args.action == "snf":
-        if args.matrix is None:
-            raise InputError("--matrix is required, rows separated by ';'")
-        rows = parse_components(args.matrix)
-        res = groups.smith_normal_form(rows)
-        return {
-            "input": {"matrix": rows},
-            "invariant_factors": list(res.invariant_factors),
-            "free_rank": res.free_rank,
-        }
-    if args.desc is None:
-        raise InputError("--desc is required")
+def _hilbertian_find(args) -> dict:
+    coeffs = parse_int_list(args.prefix)
+    witness = hilbertian.find_irreducible_with_prefix(args.p, tuple(coeffs), args.max_degree)
+    base = {"input": {"p": args.p, "prefix": coeffs, "max_degree": args.max_degree}}
+    if witness is None:
+        return {**base, "found": False, "note": "no witness within max_degree; not a disproof"}
+    return {
+        **base,
+        "found": True,
+        "coefficients": list(witness.coefficients),
+        "degree": witness.degree,
+        "polynomial": str(witness),
+    }
+
+
+def _groups_type000(args) -> dict:
     g = parse_group_descriptor(args.desc)
-    if args.action == "type000":
-        ok, witness = groups.is_type_000(g)
-        return {
-            "input": {"descriptor": g.to_json()},
-            "type_000": ok,
-            "witness": None if witness is None else witness.to_json(),
-        }
-    if args.action == "type000-except":
-        if args.p is None:
-            raise InputError("--p is required")
-        ok, witness = groups.is_type_000_except_p(g, int(args.p))
-        return {
-            "input": {"descriptor": g.to_json(), "p": int(args.p)},
-            "type_000_except_p": ok,
-            "witness": None if witness is None else witness.to_json(),
-        }
-    if args.action == "iprime":
-        return {
-            "input": {"descriptor": g.to_json()},
-            "satisfies_i_prime": groups.satisfies_i_prime(g),
-        }
-    raise InputError(f"unknown groups action {args.action!r}")
+    ok, witness = groups.is_type_000(g)
+    return {
+        "input": {"descriptor": g.to_json()},
+        "type_000": ok,
+        "witness": None if witness is None else witness.to_json(),
+    }
+
+
+def _groups_type000_except(args) -> dict:
+    g = parse_group_descriptor(args.desc)
+    ok, witness = groups.is_type_000_except_p(g, args.p)
+    return {
+        "input": {"descriptor": g.to_json(), "p": args.p},
+        "type_000_except_p": ok,
+        "witness": None if witness is None else witness.to_json(),
+    }
+
+
+def _groups_iprime(args) -> dict:
+    g = parse_group_descriptor(args.desc)
+    return {"input": {"descriptor": g.to_json()}, "satisfies_i_prime": groups.satisfies_i_prime(g)}
+
+
+def _groups_snf(args) -> dict:
+    rows = parse_components(args.matrix)
+    res = groups.smith_normal_form(rows)
+    return {
+        "input": {"matrix": rows},
+        "invariant_factors": list(res.invariant_factors),
+        "free_rank": res.free_rank,
+    }
+
+
+# ---------------------------------------------------------------------------
+# the action table
+
+
+class Action(NamedTuple):
+    """One ``wkt SUB ACTION``: the flags it requires (a tuple of flags
+    stands for exactly one of them), the flags it also accepts, and its
+    payload.  A payload with ``"found": false`` is a not-found outcome."""
+
+    required: tuple
+    optional: tuple
+    payload: Callable[[argparse.Namespace], dict]
+
+
+# flags read as integers; every other flag is text for the grammars above
+INT_FLAGS = frozenset({"p", "k", "bound", "cap", "max_degree", "char"})
+
+# the decide lambdas look their procedure up at call time, so a rebinding
+# of ``decide.decide_*`` (as a tracer does) is seen
+ACTIONS: dict[tuple[str, str], Action] = {
+    ("numon", "info"): Action(("gens",), (), _numon_info),
+    ("numon", "apery"): Action(("gens", "element"), (), _numon_apery),
+    ("affine", "info"): Action(("gens",), (), _affine_info),
+    ("factor", "factorizations"): Action(("gens", "element"), (), _factor_factorizations),
+    ("factor", "lengths"): Action(("gens", "element"), (), _factor_lengths),
+    ("factor", "delta"): Action(("gens", "bound"), (), _factor_delta),
+    ("factor", "uk"): Action(("gens", "k", "bound"), (), _factor_uk),
+    ("blocks", "atoms"): Action(("group",), ("g0",), _blocks_atoms),
+    ("blocks", "davenport"): Action(("group",), (), _blocks_davenport),
+    ("blocks", "lengths"): Action(("group", "element"), ("g0",), _blocks_lengths),
+    ("blocks", "factorizations"): Action(("group", "element"), ("g0",), _blocks_factorizations),
+    ("blocks", "delta"): Action(("group", "cap"), (), _blocks_delta),
+    ("blocks", "uk"): Action(("group", "k", "cap"), (), _blocks_uk),
+    ("classgroup", "numerical"): Action(("p", "gens"), (), _classgroup_numerical),
+    ("classgroup", "direct-sum"): Action(("gens", ("domain", "p")), (), _classgroup_direct_sum),
+    ("decide", "weakly-krull"): Action(
+        ("domain", "monoid"), ("char",), lambda args: _decide(args, decide.decide_weakly_krull)
+    ),
+    ("decide", "wfd"): Action(("domain", "monoid"), ("char",), lambda args: _decide(args, decide.decide_wfd)),
+    ("decide", "generalized-krull"): Action(
+        ("domain", "monoid"), ("char",), lambda args: _decide(args, decide.decide_generalized_krull)
+    ),
+    ("hilbertian", "find"): Action(("p", "prefix", "max_degree"), (), _hilbertian_find),
+    ("hilbertian", "irreducible"): Action(("p", "prefix"), (), _hilbertian_irreducible),
+    ("groups", "type000"): Action(("desc",), (), _groups_type000),
+    ("groups", "type000-except"): Action(("desc", "p"), (), _groups_type000_except),
+    ("groups", "iprime"): Action(("desc",), (), _groups_iprime),
+    ("groups", "snf"): Action(("matrix",), (), _groups_snf),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -563,52 +572,36 @@ def cache_put(cache_dir: str, key: str, payload: dict, exit_code: int) -> None:
 # driver
 
 
+def _add_flag(parser, flag: str, required: bool = False) -> None:
+    parser.add_argument(
+        "--" + flag.replace("_", "-"), dest=flag, required=required, type=int if flag in INT_FLAGS else str
+    )
+
+
+@functools.cache
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="wkt", description=__doc__, add_help=True)
-    sub = parser.add_subparsers(dest="subcommand")
-    specs = {
-        "numon": ["info", "apery"],
-        "affine": ["info"],
-        "factor": ["factorizations", "lengths", "delta", "uk"],
-        "blocks": ["atoms", "davenport", "lengths", "factorizations", "delta", "uk"],
-        "classgroup": ["numerical", "direct-sum"],
-        "decide": ["weakly-krull", "wfd", "generalized-krull"],
-        "hilbertian": ["find", "irreducible"],
-        "groups": ["type000", "type000-except", "iprime", "snf"],
-    }
-    for name, actions in specs.items():
-        p = sub.add_parser(name)
-        p.add_argument("action", choices=actions)
-        p.add_argument("--gens")
-        p.add_argument("--element")
-        p.add_argument("--group")
-        p.add_argument("--g0")
-        p.add_argument("--bound")
-        p.add_argument("--cap")
-        p.add_argument("--k")
-        p.add_argument("--p")
-        p.add_argument("--prefix")
-        p.add_argument("--max-degree", dest="max_degree")
-        p.add_argument("--domain")
-        p.add_argument("--monoid")
-        p.add_argument("--char")
-        p.add_argument("--desc")
-        p.add_argument("--matrix")
+    """The parser of every ACTIONS row, built once per process: building it
+    costs more than a small query."""
+    parser = _Parser(prog="wkt", description=__doc__)
+    subcommands = parser.add_subparsers(dest="subcommand", required=True)
+    actions_of = {}
+    for (name, action), row in ACTIONS.items():
+        if name not in actions_of:
+            actions_of[name] = subcommands.add_parser(name).add_subparsers(dest="action", required=True)
+        p = actions_of[name].add_parser(action)
+        for flag in row.required:
+            if isinstance(flag, tuple):
+                one_of = p.add_mutually_exclusive_group(required=True)
+                for alternative in flag:
+                    _add_flag(one_of, alternative)
+            else:
+                _add_flag(p, flag, required=True)
+        for flag in row.optional:
+            _add_flag(p, flag)
         p.add_argument("--cache-dir", dest="cache_dir")
         p.add_argument("--no-cache", dest="no_cache", action="store_true")
         p.add_argument("--pretty", action="store_true")
     return parser
-
-
-_HANDLERS = {
-    "numon": _numon_payload,
-    "affine": _affine_payload,
-    "factor": _factor_payload,
-    "blocks": _blocks_payload,
-    "classgroup": _classgroup_payload,
-    "decide": _decide_payload,
-    "groups": _groups_payload,
-}
 
 
 def _emit(payload: dict, pretty: bool) -> None:
@@ -620,14 +613,10 @@ def _emit(payload: dict, pretty: bool) -> None:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.subcommand is None:
-            raise InputError("wkt: a subcommand is required")
+        args = _build_parser().parse_args(argv)
     except InputError as exc:
         _emit({"error": str(exc), "kind": "input"}, False)
-        print(parser.format_usage().strip(), file=sys.stderr)
         return EXIT_INPUT
 
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
@@ -647,11 +636,7 @@ def run(argv: list[str] | None = None) -> int:
             return int(hit.get("exit_code", EXIT_OK))
 
     try:
-        if args.subcommand == "hilbertian":
-            payload, code = _hilbertian_payload(args)
-        else:
-            payload = _HANDLERS[args.subcommand](args)
-            code = EXIT_OK
+        payload = ACTIONS[args.subcommand, args.action].payload(args)
     except InputError as exc:
         _emit({"error": str(exc), "kind": "input"}, args.pretty)
         return EXIT_INPUT
@@ -673,6 +658,7 @@ def run(argv: list[str] | None = None) -> int:
         _emit({"error": str(exc), "kind": "input"}, args.pretty)
         return EXIT_INPUT
 
+    code = EXIT_NOT_FOUND if payload.get("found") is False else EXIT_OK
     if use_cache:
         cache_put(cache_dir, key, payload, code)
     _emit(payload, args.pretty)

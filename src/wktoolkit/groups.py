@@ -429,14 +429,12 @@ class Rank1GroupDescriptor:
 
     def __post_init__(self):
         norm = []
-        seen = set()
-        for p, cap in sorted(dict(self.exceptions).items()):
+        for p, cap in sorted(self.exceptions):
             p = int(p)
             if not is_prime(p):
                 raise InputError(f"exception key {p} is not prime")
-            if p in seen:
+            if norm and norm[-1][0] == p:
                 raise InputError(f"repeated exception prime {p}")
-            seen.add(p)
             if cap != INF:
                 cap = int(cap)
                 if cap < 0:

@@ -341,7 +341,11 @@ def test_block_sweep_cap():
     with pytest.raises(CapExceeded):
         delta_block_monoid(cyclic(1), 999999)  # 10**6 multisets, but 10**12 steps
     assert math.comb(16, 8) * 8 <= SWEEP_CAP < math.comb(32, 16) * 16
-    assert delta_block_monoid(cyclic(2), -1).values == ()
+    assert delta_block_monoid(cyclic(2), 0).values == ()
+    assert uk_block_monoid(cyclic(2), 1, 0).values == ()
+    for sweep in (lambda: delta_block_monoid(cyclic(2), -1), lambda: uk_block_monoid(cyclic(3), 2, -1)):
+        with pytest.raises(InputError):  # a negative cap is refused, not swept as empty
+            sweep()
 
 
 def test_block_sweeps_search_only_atoms_up_to_the_cap():

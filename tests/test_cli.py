@@ -1,6 +1,9 @@
 import json
 
+import pytest
+
 from wktoolkit import cli
+from wktoolkit.errors import InputError
 
 
 def _run(capsys, argv):
@@ -183,7 +186,8 @@ def test_memory_error_is_a_cap(capsys, monkeypatch):
     def exhausted(args):
         raise MemoryError
 
-    monkeypatch.setitem(cli._HANDLERS, "factor", exhausted)
+    row = ("factor", "lengths")
+    monkeypatch.setitem(cli.ACTIONS, row, cli.ACTIONS[row]._replace(payload=exhausted))
     code, out = _run(capsys, ["factor", "lengths", "--gens", "2,3", "--element", "6"])
     assert code == 3
     assert json.loads(out) == {"error": "input too large: out of memory", "kind": "cap"}
@@ -296,3 +300,140 @@ def test_block_element_with_rank_two_group(capsys):
     )
     assert code == 0
     assert json.loads(out)["lengths"] == [2]
+
+
+# one valid value per flag of the action table
+_FLAG_VALUES = {
+    "gens": "2,3",
+    "element": "6",
+    "group": "3",
+    "g0": "1",
+    "bound": "40",
+    "cap": "4",
+    "k": "2",
+    "p": "2",
+    "prefix": "1,1",
+    "max_degree": "3",
+    "domain": "z",
+    "monoid": "numerical:2,3",
+    "char": "0",
+    "desc": "2^inf",
+    "matrix": "2,0;0,3",
+}
+
+
+def _flags(entries):
+    """Flag names of a row's required or optional entries, alternatives included."""
+    return [flag for entry in entries for flag in (entry if isinstance(entry, tuple) else (entry,))]
+
+
+def _argv(row, flags):
+    argv = list(row)
+    for flag in flags:
+        argv += ["--" + flag.replace("_", "-"), _FLAG_VALUES[flag]]
+    return argv
+
+
+def _input_error(capsys, argv):
+    code, out = _run(capsys, argv)
+    return code == 2 and json.loads(out)["kind"] == "input"
+
+
+def test_action_table_drives_the_parser(capsys):
+    every_flag = {flag for row in cli.ACTIONS.values() for flag in _flags(row.required + row.optional)}
+    assert every_flag == set(_FLAG_VALUES)
+    assert cli.INT_FLAGS <= every_flag
+    for row, action in cli.ACTIONS.items():
+        # the first alternative stands for a one-of requirement
+        required = [entry[0] if isinstance(entry, tuple) else entry for entry in action.required]
+        args = cli._build_parser().parse_args(_argv(row, required))
+        assert (args.subcommand, args.action) == row
+        for flag in required:
+            assert isinstance(getattr(args, flag), int) == (flag in cli.INT_FLAGS)
+        for i, entry in enumerate(action.required):
+            missing = [f for j, f in enumerate(required) if j != i]
+            assert _input_error(capsys, _argv(row, missing)), (row, entry)
+            if isinstance(entry, tuple):  # exactly one of the alternatives
+                assert _input_error(capsys, _argv(row, missing + list(entry))), row
+        for flag in sorted(every_flag - set(_flags(action.required + action.optional))):
+            assert _input_error(capsys, _argv(row, required + [flag])), (row, flag)
+        for flag in sorted(set(required) & cli.INT_FLAGS):
+            argv = _argv(row, required)
+            argv[argv.index("--" + flag.replace("_", "-")) + 1] = "x"
+            assert _input_error(capsys, argv), (row, flag)
+
+
+def test_every_pool_argv_parses():
+    # perfbench/pool.json holds the benchmark's questions; it is read, not edited
+    import pathlib
+
+    pool = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "pool.json"
+    parser = cli._build_parser()
+    parsed, refused = 0, 0
+    for queries in json.loads(pool.read_text())["classes"].values():
+        for query in queries:
+            if "argv" not in query:
+                continue
+            try:
+                args = parser.parse_args(query["argv"])
+            except InputError:
+                # only questions whose reference is already an input error
+                assert query["ref"] == {"exit": 2, "kind": "input"}, query["argv"]
+                refused += 1
+                continue
+            assert (args.subcommand, args.action) in cli.ACTIONS
+            parsed += 1
+    assert (parsed, refused) == (597, 2)  # the two refused lack the required --element
+
+
+def test_an_unread_flag_leaves_one_cache_record(tmp_path, capsys):
+    base = ["numon", "info", "--gens", "2,3", "--cache-dir", str(tmp_path)]
+    code, first = _run(capsys, base)
+    assert code == 0
+    for extra in (["--bound", "5"], ["--matrix", "junk"]):
+        assert _input_error(capsys, base + extra), extra
+    assert _run(capsys, base) == (0, first)
+    assert len((tmp_path / cli.CACHE_FILE).read_text().splitlines()) == 1
+
+
+def test_import_loads_every_layer():
+    # perfbench/tracing.py Tracer.install reads sys.modules["wktoolkit.<layer>"]
+    # for every layer after importing only wktoolkit.cli; a lazy import of the
+    # layers has to land together with a change to the tracer
+    import os
+    import subprocess
+    import sys
+
+    import wktoolkit
+
+    layers = ("cli", "numon", "affine", "factor", "blocks", "groups", "classgrp", "decide", "hilbertian")
+    script = (
+        "import sys, wktoolkit.cli; "
+        f"print(all('wktoolkit.' + m in sys.modules for m in {layers!r}))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(wktoolkit.__file__)))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.stdout.strip() == "True", done.stderr
+
+
+def test_repeated_entries_are_input_errors(capsys):
+    for bad in ("2^inf,2^0", "sym^3,sym^inf", "z+3^1,sym^2,3^inf"):
+        with pytest.raises(InputError, match="repeated"):
+            cli.parse_group_descriptor(bad)
+    with pytest.raises(InputError, match="repeated key"):
+        cli.parse_domain("custom:char=0;weakly_krull=true;char=2")
+    with pytest.raises(InputError, match="repeated key"):
+        cli.parse_domain("field:infinite=true,infinite=false")
+    with pytest.raises(InputError, match="repeated key"):
+        cli.parse_monoid("custom:group=2^inf;umt=true;umt=false")
+    decide_argv = ["decide", "weakly-krull", "--domain", "q", "--monoid"]
+    code, out = _run(capsys, decide_argv + ["custom:group=2^inf;weakly_krull=true;umt=true"])
+    assert code == 0 and json.loads(out)["answer"] is False
+    assert _input_error(capsys, decide_argv + ["custom:group=2^inf,2^0;weakly_krull=true;umt=true"])
+
+
+def test_negative_sweep_caps_are_input_errors(capsys):
+    assert _input_error(capsys, ["blocks", "delta", "--group", "3", "--cap", "-1"])
+    assert _input_error(capsys, ["blocks", "uk", "--group", "3", "--k", "2", "--cap", "-1"])
+    code, out = _run(capsys, ["blocks", "delta", "--group", "3", "--cap", "0"])
+    assert code == 0 and json.loads(out)["values"] == []

@@ -249,6 +249,14 @@ def test_descriptor_validation():
         TorsionFreeGroupDescriptor(())
 
 
+def test_repeated_exception_prime_is_refused():
+    # the last entry used to win silently, so 2^inf,2^0 read as the integers
+    for exceptions in (((2, INF), (2, 0)), ((3, 1), (2, 1), (3, 1))):
+        with pytest.raises(InputError, match="repeated exception prime"):
+            Rank1GroupDescriptor(exceptions)
+    assert Rank1GroupDescriptor(((5, 1), (2, INF))).exceptions == ((2, INF), (5, 1))
+
+
 def test_type_000_contract_examples():
     ok, witness = is_type_000(integers())
     assert ok and witness is None
