@@ -14,22 +14,23 @@ A pair is valid when the multiset sum plus iota(t) vanishes.  This family
 realizes the pairing construction concretely while staying enumerable;
 inputs are user-supplied surrogates and results say so.
 
-Length sets never list factorizations.  One memoized recursion, the mask
-of x being the OR over the atoms a dividing x of the mask of x - a shifted
-by one, serves single blocks, the monoid-level sweeps (atoms up to the
-length cap found once, one memo per sweep, refused up front past
-SWEEP_CAP steps) and T-blocks.  Distance and U_k sets are read off the
-masks as in the factorization module and reported as capped
-under-approximations.  Length sets and factorizations of one element are
-exact: every atom in a factorization divides the element, so the element
-bounds the search.
+Blocks and T-blocks are packed into integers, one guarded field per
+element and per t-coordinate.  Length sets never list factorizations: the
+mask of x, the OR over the atoms a dividing x of the mask of x - a shifted
+by one, is filled bottom-up for single elements and for the monoid-level
+sweeps (one memo per sweep, refused up front past SWEEP_CAP steps).
+T-block atoms come from one sieve over candidates in order of size.
+Distance and U_k sets are read off the masks as in the factorization
+module and reported as capped under-approximations.  Length sets and
+factorizations of one element are exact: every atom of a factorization
+divides the element.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
+import operator
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Iterable, Iterator, Sequence
@@ -152,22 +153,32 @@ def davenport_constant(group: FiniteAbelianGroup) -> int:
     return max(b.length for b in minimal_zero_sum_atoms(group, nonzero))
 
 
-def _packing(elements: Sequence[Element], max_count: int) -> tuple[Callable, Callable]:
-    """Multisets over ``elements`` with multiplicities up to ``max_count`` as
-    integers, one field per element with a guard bit on top.  ``pack``
-    encodes a multiset; ``minus(x, a)`` is x - a, or None when a does not
-    divide x, seen as a field of (x | guard) - a that lost its guard bit."""
-    width = max_count.bit_length() + 1
-    shift = {e: width * i for i, e in enumerate(elements)}
-    guard = sum(1 << (s + width - 1) for s in shift.values())
+def _packing(elements: Sequence[Element], max_count: int, t_fields: Sequence = ()) -> tuple[Callable, Callable]:
+    """Pack a multiset over ``elements`` (multiplicities up to
+    ``max_count``) and a vector t (t_i <= cap_i for each (D_i, cap_i) in
+    ``t_fields``) into one integer, a field per element and per t_i, each
+    with a guard bit on top.  Returns ``pack(multiset, t)`` and the
+    remainder: x - a, or None when a does not divide x, seen as a field of
+    (x | guard) - a that lost its guard bit or a t-field of x - a outside
+    its D_i."""
+    offsets, guard = [], 0
+    for cap in [max_count] * len(elements) + [cap for _, cap in t_fields]:
+        offsets.append(guard.bit_length())
+        guard |= 1 << (offsets[-1] + cap.bit_length())
+    shift = dict(zip(elements, offsets))
+    t_read = [(s, (1 << cap.bit_length()) - 1, d) for s, (d, cap) in zip(offsets[len(elements):], t_fields)]
 
-    def pack(multiset: Iterable[Element]) -> int:
-        return sum(1 << shift[e] for e in multiset)
+    def pack(multiset: Iterable[Element], t: Sequence[int] = ()) -> int:
+        return sum(1 << shift[e] for e in multiset) + sum(ti << s for ti, (s, _, _) in zip(t, t_read))
 
     def minus(x: int, a: int) -> int | None:
         return x - a if ((x | guard) - a) & guard == guard else None
 
-    return pack, minus
+    def remainder(x: int, a: int) -> int | None:
+        rest = minus(x, a)
+        return rest if rest is not None and all(d.contains(rest >> s & m) for s, m, d in t_read) else None
+
+    return pack, remainder if t_fields else minus
 
 
 def _packed_atoms(
@@ -215,21 +226,26 @@ def block_factorizations(
     return results
 
 
-def _length_mask(x, atoms: Sequence, remainder: Callable, memo: dict) -> int:
-    """Bit l set iff x is a product of l atoms: the OR, over the atoms a
-    dividing x, of the mask of x - a shifted by one.  ``remainder(x, a)``
-    is x - a, or None when a does not divide x; ``memo`` starts as
-    {identity: 1} and keeps every mask found."""
-    mask = memo.get(x)
-    if mask is None:
+def _length_mask(x: int, atoms: Sequence[int], remainder: Callable, memo: dict) -> int:
+    """Bit l set iff packed x is a product of l atoms: the OR, over the
+    atoms a dividing x, of the mask of x - a shifted by one.
+    ``remainder(x, a)`` is as in ``_packing``; ``memo`` starts as {0: 1}
+    and keeps every mask found.  The states reachable from x by taking off
+    atoms are collected first; every x - a is smaller than x, so filling
+    them in ascending order finds the mask of each remainder stored."""
+    rests_of: dict[int, list[int]] = {}
+    todo = [x]
+    while todo:
+        y = todo.pop()
+        if y not in memo and y not in rests_of:
+            rests_of[y] = [rest for a in atoms if (rest := remainder(y, a)) is not None]
+            todo.extend(rests_of[y])
+    for y in sorted(rests_of):
         mask = 0
-        for a in atoms:
-            rest = remainder(x, a)
-            if rest is not None:
-                mask |= _length_mask(rest, atoms, remainder, memo)
-        mask <<= 1
-        memo[x] = mask
-    return mask
+        for rest in rests_of[y]:
+            mask |= memo[rest]
+        memo[y] = mask << 1
+    return memo[x]
 
 
 def block_length_set(
@@ -242,10 +258,10 @@ def block_length_set(
 
 
 def _sweep_masks(group: FiniteAbelianGroup, length_cap: int) -> Iterator[int]:
-    """Length masks of all blocks of length at most the cap, with the atoms
-    found once and one memo shared by the whole sweep.  Refused up front
-    when the C(|G| + cap, cap) multisets times their length exceed
-    SWEEP_CAP; the atom search visits no more multisets than that."""
+    """Length masks of all blocks of length at most the cap, walked by
+    length with the atoms found once: every x - a is a shorter block whose
+    mask is in the sweep's one memo.  Refused up front when the C(|G| +
+    cap, cap) multisets times their length exceed SWEEP_CAP."""
     _check_group(group)
     if length_cap < 0:
         raise InputError(f"length cap must be >= 0, got {length_cap}")
@@ -256,10 +272,9 @@ def _sweep_masks(group: FiniteAbelianGroup, length_cap: int) -> Iterator[int]:
     pack, minus = _packing(elems, length_cap)
     atoms = [pack(a.elements) for a in minimal_zero_sum_atoms(group, None, length_cap)]
     memo = {0: 1}
-    zero = group.zero()
     for k in range(length_cap + 1):
         for combo in itertools.combinations_with_replacement(elems, k):
-            if reduce(group.add, combo, zero) == zero:
+            if all(sum(coords) % n == 0 for coords, n in zip(zip(*combo), group.invariant_factors)):
                 yield _length_mask(pack(combo), atoms, minus, memo)
 
 
@@ -334,12 +349,6 @@ class TBlockElement:
     def is_identity(self) -> bool:
         return not self.elements and not any(self.t)
 
-    def block_multiplicities(self) -> dict[Element, int]:
-        out: dict[Element, int] = {}
-        for e in self.elements:
-            out[e] = out.get(e, 0) + 1
-        return out
-
 
 def tblock_validate(spec: TBlockSpec, e: TBlockElement) -> bool:
     """Exact validity check: support, component membership, and the
@@ -357,41 +366,35 @@ def tblock_validate(spec: TBlockSpec, e: TBlockElement) -> bool:
     return total == spec.group.zero()
 
 
-def _t_vectors(spec: TBlockSpec, caps: Sequence[int]):
-    ranges = []
-    for (d, _), cap in zip(spec.components, caps):
-        ranges.append([v for v in range(cap + 1) if d.contains(v)])
-    return itertools.product(*ranges)
-
-
-def _proper_divisors(spec: TBlockSpec, e: TBlockElement):
-    """All valid sub-elements (b', t') of e other than the identity and e."""
-    mult = e.block_multiplicities()
-    support = sorted(mult)
-    count_ranges = [range(mult[g] + 1) for g in support]
-    t_choices = []
-    for ti, (d, _) in zip(e.t, spec.components):
-        t_choices.append([v for v in range(ti + 1) if d.contains(v) and d.contains(ti - v)])
-    for counts in itertools.product(*count_ranges):
-        sub_elems = []
-        for g, c in zip(support, counts):
-            sub_elems.extend([g] * c)
-        for t_sub in itertools.product(*t_choices):
-            cand = TBlockElement(tuple(sub_elems), t_sub)
-            if cand.is_identity:
-                continue
-            if cand.elements == e.elements and cand.t == e.t:
-                continue
-            if tblock_validate(spec, cand):
-                yield cand
-
-
-def _is_tblock_atom(spec: TBlockSpec, e: TBlockElement) -> bool:
-    if e.is_identity:
-        return False
-    for _ in _proper_divisors(spec, e):
-        return False
-    return True
+def _tblock_atoms(spec: TBlockSpec, count_vectors: Iterable, n_vectors: int, max_count: int, t_caps: Sequence[int]):
+    """The packing's ``pack`` and ``remainder`` and the atoms, packed atom
+    to atom, among the valid pairs of a multiset over g0, given by its
+    multiplicities in ``count_vectors`` (each at most ``max_count``), and
+    a vector t <= ``t_caps``: a set closed under taking divisors.  Walked
+    in order of size |b| + sum(t), a pair is an atom iff no atom kept so
+    far divides it: the monoid is reduced and atomic, and a proper divisor
+    is strictly smaller.  Refused up front past SWEEP_CAP candidate pairs."""
+    walk = n_vectors * math.prod(max(cap + 1, 0) for cap in t_caps)
+    if walk > SWEEP_CAP:
+        raise CapExceeded(f"{walk} T-block candidates exceed the cap {SWEEP_CAP}")
+    t_fields = [(d, cap) for (d, _), cap in zip(spec.components, t_caps)]
+    pack, remainder = _packing(spec.g0, max_count, t_fields)
+    t_of_iota: dict[Element, list[tuple[int, ...]]] = {}
+    for t in itertools.product(*([v for v in range(cap + 1) if d.contains(v)] for d, cap in t_fields)):
+        t_of_iota.setdefault(spec.iota(t), []).append(t)
+    group, unit = spec.group, [pack((g,)) for g in spec.g0]
+    candidates = []
+    for cs in count_vectors:
+        total = reduce(group.add, (group.scale(c, g) for g, c in zip(spec.g0, cs) if c), group.zero())
+        x = sum(map(operator.mul, cs, unit))
+        for t in t_of_iota.get(group.neg(total), ()):
+            if any(cs) or any(t):
+                candidates.append((sum(cs) + sum(t), x + pack((), t), cs, t))
+    atoms: dict[int, TBlockElement] = {}
+    for _, x, cs, t in sorted(candidates):
+        if all(remainder(x, a) is None for a in atoms):
+            atoms[x] = TBlockElement(tuple(itertools.chain.from_iterable(map(itertools.repeat, spec.g0, cs))), t)
+    return pack, remainder, atoms
 
 
 @dataclass(frozen=True)
@@ -404,20 +407,19 @@ class TBlockAtomsResult:
 
 
 def tblock_atoms_bounded(spec: TBlockSpec, block_cap: int, t_caps: Sequence[int]) -> TBlockAtomsResult:
-    """Atoms of the T-block monoid with block length and t-coordinates capped."""
+    """Atoms of the T-block monoid with block length and t-coordinates
+    capped, sieved from every valid element within the caps."""
     _check_group(spec.group)
     if len(t_caps) != len(spec.components):
         raise InputError("one t-cap per component is required")
-    atoms = []
-    for k in range(block_cap + 1):
-        for combo in itertools.combinations_with_replacement(spec.g0, k):
-            for t in _t_vectors(spec, t_caps):
-                cand = TBlockElement(tuple(combo), t)
-                if cand.is_identity:
-                    continue
-                if tblock_validate(spec, cand) and _is_tblock_atom(spec, cand):
-                    atoms.append(cand)
-    atoms.sort(key=lambda a: (len(a.elements) + sum(a.t), a.elements, a.t))
+    count_vectors = (
+        tuple(map(combo.count, spec.g0))
+        for k in range(block_cap + 1)
+        for combo in itertools.combinations_with_replacement(spec.g0, k)
+    )
+    n_vectors = math.comb(len(spec.g0) + block_cap, block_cap) if block_cap >= 0 else 0
+    _, _, found = _tblock_atoms(spec, count_vectors, n_vectors, block_cap, t_caps)
+    atoms = sorted(found.values(), key=lambda a: (len(a.elements) + sum(a.t), a.elements, a.t))
     return TBlockAtomsResult(tuple(atoms), block_cap, tuple(int(c) for c in t_caps))
 
 
@@ -436,9 +438,9 @@ def tblock_length_set(
 ) -> TBlockLengthResult:
     """Lengths of all factorizations of a valid element into atoms.
 
-    Exact regardless of caps: every atom of a factorization is a divisor
-    of the element, so the element bounds the search.  The optional caps
-    only reject oversized inputs.
+    Exact regardless of caps: every atom of a factorization lies below the
+    element, so the atoms are sieved from the valid elements below it.
+    The optional caps only reject oversized inputs.
     """
     _check_group(spec.group)
     if not tblock_validate(spec, e):
@@ -447,17 +449,7 @@ def tblock_length_set(
         raise CapExceeded(f"block length {len(e.elements)} exceeds cap {block_cap}")
     if t_caps is not None and any(ti > c for ti, c in zip(e.t, t_caps)):
         raise CapExceeded("a t-coordinate exceeds its cap")
-    divisor_atoms = [d for d in _proper_divisors(spec, e) if _is_tblock_atom(spec, d)]
-    if _is_tblock_atom(spec, e):
-        divisor_atoms.append(e)
-
-    def remainder(big: TBlockElement, small: TBlockElement) -> TBlockElement | None:
-        left = Counter(big.elements)
-        left.subtract(small.elements)
-        t_rest = tuple(b - s for b, s in zip(big.t, small.t))
-        if min(left.values(), default=0) < 0 or any(x < 0 or x not in d for x, (d, _) in zip(t_rest, spec.components)):
-            return None
-        return TBlockElement(tuple(sorted(left.elements())), t_rest)
-
-    identity = TBlockElement((), (0,) * len(e.t))
-    return TBlockLengthResult(values=lengths_of(_length_mask(e, divisor_atoms, remainder, {identity: 1})))
+    counts = tuple(map(e.elements.count, spec.g0))
+    count_vectors = itertools.product(*(range(c + 1) for c in counts))
+    pack, remainder, atoms = _tblock_atoms(spec, count_vectors, math.prod(c + 1 for c in counts), len(e.elements), e.t)
+    return TBlockLengthResult(values=lengths_of(_length_mask(pack(e.elements, e.t), list(atoms), remainder, {0: 1})))

@@ -618,6 +618,8 @@ def run(argv: list[str] | None = None) -> int:
     except InputError as exc:
         _emit({"error": str(exc), "kind": "input"}, False)
         return EXIT_INPUT
+    except SystemExit:  # argparse printed the --help text; errors raise InputError
+        return EXIT_OK
 
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
     use_cache = bool(cache_dir) and not args.no_cache
@@ -644,8 +646,8 @@ def run(argv: list[str] | None = None) -> int:
         _emit({"error": str(exc), "kind": "cap"}, args.pretty)
         return EXIT_CAP
     except RecursionError:
-        # numerical length sets are iterative; the factorization listing recurses
-        # once per atom, block and T-block length sets once per atom taken off
+        # length sets are iterative; only the factorization listings recurse,
+        # numerical ones once per atom, block ones once per atom taken off
         _emit({"error": "input too large: recursion depth exceeded", "kind": "cap"}, args.pretty)
         return EXIT_CAP
     except MemoryError:

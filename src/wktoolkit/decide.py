@@ -357,23 +357,8 @@ class Rule(NamedTuple):
     evaluate: Callable[[dict], tuple[str, dict]]
 
 
-def _group_from_json(data: dict) -> TorsionFreeGroupDescriptor:
-    comps = []
-    for c in data["components"]:
-        exceptions = []
-        for p, cap in c.get("exceptions", {}).items():
-            exceptions.append((int(p), grp.INF if cap == "inf" else int(cap)))
-        sym = None
-        if "symbolic" in c:
-            s = c["symbolic"]
-            cap = grp.INF if s["cap"] == "inf" else int(s["cap"])
-            sym = grp.SymbolicPrimeClass(cap, bool(s["complement_infinite"]))
-        comps.append(grp.Rank1GroupDescriptor(tuple(exceptions), sym))
-    return TorsionFreeGroupDescriptor(tuple(comps))
-
-
-def _type_test(ok_and_witness: tuple[bool, TypeWitness | None]) -> tuple[str, dict]:
-    ok, witness = ok_and_witness
+def _type_test(test: Callable[..., tuple[bool, TypeWitness | None]], group: dict, *args) -> tuple[str, dict]:
+    ok, witness = test(TorsionFreeGroupDescriptor.from_json(group), *args)
     return "true" if ok else "false", {"witness": None if witness is None else witness.to_json()}
 
 
@@ -418,11 +403,11 @@ RULES: dict[str, Rule] = {
     ),
     "group-algebra-weakly-krull-char-zero": Rule(
         "K[G] is weakly Krull iff G has ACC on cyclic subgroups (type (0,0,0,...))",
-        lambda i: _type_test(grp.is_type_000(_group_from_json(i["group"]))),
+        lambda i: _type_test(grp.is_type_000, i["group"]),
     ),
     "group-algebra-weakly-krull-char-p": Rule(
         "K[G] is weakly Krull iff G is of type (0,0,0,...) except p = char K",
-        lambda i: _type_test(grp.is_type_000_except_p(_group_from_json(i["group"]), i["characteristic"])),
+        lambda i: _type_test(grp.is_type_000_except_p, i["group"], i["characteristic"]),
     ),
     "group-algebra-weakly-krull-criterion": Rule(
         "the divisibility-type test needs the characteristic of the domain",

@@ -495,6 +495,22 @@ class TorsionFreeGroupDescriptor:
     def to_json(self) -> dict:
         return {"components": [c.to_json() for c in self.components]}
 
+    @staticmethod
+    def from_json(data: dict) -> "TorsionFreeGroupDescriptor":
+        """The descriptor whose ``to_json`` is ``data``."""
+        comps = []
+        for c in data["components"]:
+            exceptions = []
+            for p, cap in c.get("exceptions", {}).items():
+                exceptions.append((int(p), INF if cap == "inf" else int(cap)))
+            sym = None
+            if "symbolic" in c:
+                s = c["symbolic"]
+                cap = INF if s["cap"] == "inf" else int(s["cap"])
+                sym = SymbolicPrimeClass(cap, bool(s["complement_infinite"]))
+            comps.append(Rank1GroupDescriptor(tuple(exceptions), sym))
+        return TorsionFreeGroupDescriptor(tuple(comps))
+
     def __str__(self) -> str:
         return f"torsion-free group of rank {self.rank}"
 

@@ -34,7 +34,7 @@ from .errors import (
     SizeCapExceeded,
 )
 
-# largest multiplicity from_generators accepts; the Apéry set has that many entries
+# largest multiplicity from_generators and largest modulus apery_set accept; an Apéry set has that many entries
 MULTIPLICITY_CAP = 10**5
 # largest number of gaps NumericalMonoid.gaps lists
 GAPS_CAP = 10**6
@@ -176,6 +176,8 @@ def apery_set(s: NumericalMonoid, n: int) -> tuple[int, ...]:
     """The least member of s in each residue class mod n, sorted."""
     if n == 0 or not s.contains(n):
         raise NotInMonoid(f"{n} is not a nonzero element of {s}")
+    if n > MULTIPLICITY_CAP:
+        raise SizeCapExceeded(f"an Apéry set of {n} entries exceeds the cap {MULTIPLICITY_CAP}")
     out = []
     for r in range(n):
         m = r

@@ -1,9 +1,11 @@
 import itertools
+import json
 import math
+import pathlib
 import random
 
 import pytest
-from tests_support_tblock import tblock_lengths_by_recursion
+from tests_support_tblock import tblock_atoms_by_definition, tblock_lengths_by_recursion
 
 from wktoolkit.blocks import (
     SWEEP_CAP,
@@ -20,7 +22,7 @@ from wktoolkit.blocks import (
     tblock_validate,
     uk_block_monoid,
 )
-from wktoolkit.errors import CapExceeded, GroupTooLarge, InputError, NotZeroSum
+from wktoolkit.errors import CapError, CapExceeded, GroupTooLarge, InputError, NotZeroSum
 from wktoolkit.factor import delta_of
 from wktoolkit.groups import FiniteAbelianGroup, cyclic
 from wktoolkit.numon import from_generators
@@ -381,3 +383,73 @@ def test_tblock_length_set_matches_recursion_oracle():
             assert tblock_length_set(spec, e).values == tblock_lengths_by_recursion(spec, e), (facs, elems, t)
             checked += len(tblock_length_set(spec, e).values) > 1
     assert checked  # some drawn element has more than one length
+
+
+def _random_tblock_spec(rng):
+    facs = rng.choice(((1,), (2,), (3,), (4,), (5,), (6,), (2, 2)))
+    g = cyclic(facs[0]) if len(facs) == 1 else FiniteAbelianGroup(facs)
+    elements = sorted(g.elements())
+    g0 = rng.sample(elements, rng.randint(1, len(elements)))
+    gens = ([1], [2, 3], [2, 5], [3, 4], [3, 5], [3, 7], [4, 5, 6])
+    comps = [(from_generators(rng.choice(gens)), rng.choice(elements)) for _ in range(rng.randint(1, 2))]
+    return TBlockSpec.make(g, g0, comps)
+
+
+def test_tblock_atoms_match_definition_oracle_on_random_specs():
+    rng = random.Random(41)
+    found = 0
+    for _ in range(40):
+        spec = _random_tblock_spec(rng)
+        block_cap = rng.randint(0, 5)
+        t_caps = [rng.randint(0, 8) for _ in spec.components]
+        got = tblock_atoms_bounded(spec, block_cap, t_caps).atoms
+        assert list(got) == tblock_atoms_by_definition(spec, block_cap, t_caps), (spec, block_cap, t_caps)
+        found += len(got)
+    assert found > 100
+
+
+def test_tblock_length_set_matches_recursion_oracle_on_random_specs():
+    rng = random.Random(43)
+    drawn, several = 0, 0
+    while drawn < 80:
+        spec = _random_tblock_spec(rng)
+        elems = [rng.choice(spec.g0) for _ in range(rng.randint(0, 5))]
+        e = TBlockElement.make(spec, elems, [rng.randint(0, 8) for _ in spec.components])
+        if not tblock_validate(spec, e):
+            continue
+        drawn += 1
+        values = tblock_length_set(spec, e).values
+        assert values == tblock_lengths_by_recursion(spec, e), (spec, e)
+        several += len(values) > 1
+    assert several  # some drawn element has more than one length
+
+
+def test_deep_elements_need_no_recursion():
+    assert block_length_set(cyclic(2), None, [(1,)] * 2400) == (1200,)
+    spec = _c2_spec()
+    assert tblock_length_set(spec, TBlockElement.make(spec, [(1,)] * 2400, (0,))).values == (1200,)
+
+
+def test_tblock_walk_past_the_sweep_cap_is_refused_at_once():
+    c6 = cyclic(6)
+    spec = TBlockSpec.make(c6, list(c6.elements()), [(from_generators([2, 3]), (1,))])
+    with pytest.raises(CapError):
+        tblock_atoms_bounded(spec, 30, (10**9,))  # C(36, 30) multisets times 10**9 + 1 vectors
+    with pytest.raises(CapError):
+        tblock_length_set(spec, TBlockElement.make(spec, [], (6 * 10**9,)))  # 6 * 10**9 + 1 vectors
+    assert len(tblock_atoms_bounded(spec, 3, (5,)).atoms) > 0  # C(9, 3) * 6 candidates: well under the cap
+
+
+def test_pool_tblock_answers_match_their_references(monkeypatch):
+    # perfbench/pool.json holds the benchmark's questions with reference answers; it is read, not edited
+    bench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    import check
+    import worker
+
+    pool = json.loads((bench / "pool.json").read_text())
+    queries = [q for qs in pool["classes"].values() for q in qs if q.get("lib") in ("tblock_lengths", "tblock_atoms")]
+    assert sorted(q["lib"] for q in queries) == ["tblock_atoms"] * 10 + ["tblock_lengths"] * 10
+    for query in queries:
+        code, out, err = worker.answer(query)
+        assert check.check(query, code, out, err) is None, query["args"]

@@ -127,12 +127,33 @@ def test_recursion_depth_is_a_cap(capsys):
     ones = ",".join(["1"] * 2400)
     gens = ",".join(str(g) for g in range(1000, 2000))
     for argv in (
-        ["blocks", "lengths", "--group", "2", "--element", ones],
+        ["blocks", "factorizations", "--group", "2", "--element", ones],
         ["factor", "lengths", "--gens", gens, "--element", "3001"],
     ):
         code, out = _run(capsys, argv)
         assert code == 3, argv[:2]
         assert json.loads(out)["kind"] == "cap"
+
+
+def test_block_lengths_of_a_deep_block_answer(capsys):
+    # 1200 atoms deep: the length kernel fills its states bottom-up, without recursion
+    code, out = _run(capsys, ["blocks", "lengths", "--group", "2", "--element", ",".join(["1"] * 2400)])
+    assert code == 0
+    assert json.loads(out)["lengths"] == [1200]
+
+
+def test_help_returns_in_process(capsys):
+    # argparse ends --help with SystemExit; run returns 0 instead, so an in-process caller goes on
+    assert cli.run(["numon", "info", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: wkt numon info [-h] --gens GENS")
+    assert cli.run(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: wkt [-h]")
+
+
+def test_apery_modulus_cap_exits_before_allocating(capsys):
+    code, out = _run(capsys, ["numon", "apery", "--gens", "2,3", "--element", "1000000000"])
+    assert code == 3
+    assert json.loads(out)["kind"] == "cap"
 
 
 def test_length_dp_caps_exit_before_allocating(capsys):

@@ -333,9 +333,7 @@ def test_i_prime_with_ii_implies_i():
 
 
 def test_descriptor_json_round_trip():
-    from wktoolkit.decide import _group_from_json
-
     rng = random.Random(23)
     for _ in range(50):
         g = _random_descriptor(rng)
-        assert _group_from_json(g.to_json()) == g
+        assert TorsionFreeGroupDescriptor.from_json(g.to_json()) == g

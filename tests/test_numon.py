@@ -219,6 +219,15 @@ def test_apery_contract_examples():
         apery_set(from_generators([2, 3]), 0)
 
 
+def test_apery_modulus_cap():
+    s = from_generators([2, 3])
+    assert len(apery_set(s, MULTIPLICITY_CAP)) == MULTIPLICITY_CAP
+    with pytest.raises(SizeCapExceeded):
+        apery_set(s, MULTIPLICITY_CAP + 1)
+    with pytest.raises(SizeCapExceeded):
+        apery_set(s, 10**9)
+
+
 def test_apery_one_per_residue_class():
     for s in enumerate_numerical_monoids(9):
         for n in s.atoms:

@@ -1,13 +1,47 @@
-"""The T-block length set by a depth-first walk over every factorization,
-kept as the oracle for the memoized length kernel of ``tblock_length_set``.
+"""T-block atoms and length sets straight from the definitions, kept as
+oracles for the atom sieve and the length kernel of ``wktoolkit.blocks``.
 
-The walk takes the atoms dividing the element in a fixed order, peels them
-off one at a time without ever going back to an earlier atom, and records
-the number of atoms whenever the identity is reached."""
+An element is an atom when it has no valid proper divisor other than the
+identity; ``_proper_divisors`` lists every valid sub-element of an element
+whose complement is valid too.  The length walk takes the atoms dividing
+the element in a fixed order, peels them off one at a time without ever
+going back to an earlier atom, and records the number of atoms whenever
+the identity is reached."""
 
+import itertools
 from collections import Counter
 
-from wktoolkit.blocks import TBlockElement, _is_tblock_atom, _proper_divisors
+from wktoolkit.blocks import TBlockElement, TBlockSpec, tblock_validate
+
+
+def _proper_divisors(spec: TBlockSpec, e: TBlockElement):
+    """All valid sub-elements (b', t') of e other than the identity and e."""
+    mult = Counter(e.elements)
+    support = sorted(mult)
+    count_ranges = [range(mult[g] + 1) for g in support]
+    t_choices = []
+    for ti, (d, _) in zip(e.t, spec.components):
+        t_choices.append([v for v in range(ti + 1) if d.contains(v) and d.contains(ti - v)])
+    for counts in itertools.product(*count_ranges):
+        sub_elems = []
+        for g, c in zip(support, counts):
+            sub_elems.extend([g] * c)
+        for t_sub in itertools.product(*t_choices):
+            cand = TBlockElement(tuple(sub_elems), t_sub)
+            if cand.is_identity:
+                continue
+            if cand.elements == e.elements and cand.t == e.t:
+                continue
+            if tblock_validate(spec, cand):
+                yield cand
+
+
+def _is_tblock_atom(spec: TBlockSpec, e: TBlockElement) -> bool:
+    if e.is_identity:
+        return False
+    for _ in _proper_divisors(spec, e):
+        return False
+    return True
 
 
 def _sub_multiset(inner, outer):
@@ -56,3 +90,17 @@ def tblock_lengths_by_recursion(spec, e):
 
     rec(e, 0, 0)
     return tuple(sorted(lengths))
+
+
+def tblock_atoms_by_definition(spec, block_cap, t_caps):
+    """Every valid element within the caps that has no valid proper divisor,
+    in the order of the atom sort key."""
+    t_ranges = [[v for v in range(cap + 1) if v in d] for (d, _), cap in zip(spec.components, t_caps)]
+    atoms = []
+    for k in range(block_cap + 1):
+        for combo in itertools.combinations_with_replacement(spec.g0, k):
+            for t in itertools.product(*t_ranges):
+                cand = TBlockElement(combo, t)
+                if tblock_validate(spec, cand) and _is_tblock_atom(spec, cand):
+                    atoms.append(cand)
+    return sorted(atoms, key=lambda a: (len(a.elements) + sum(a.t), a.elements, a.t))
