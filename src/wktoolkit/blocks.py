@@ -17,8 +17,10 @@ inputs are user-supplied surrogates and results say so.
 Blocks and T-blocks are packed into integers, one guarded field per
 element and per t-coordinate.  Length sets never list factorizations: the
 mask of x, the OR over the atoms a dividing x of the mask of x - a shifted
-by one, is filled bottom-up for single elements and for the monoid-level
-sweeps (one memo per sweep, refused up front past SWEEP_CAP steps).
+by one, is filled bottom-up.  The monoid-level sweeps walk only the
+zero-sum blocks, each once, and fill their masks by length in one memo,
+trying only the atoms that hold the block's least element (refused up
+front past SWEEP_CAP steps).
 T-block atoms come from one sieve over candidates in order of size.
 Distance and U_k sets are read off the masks as in the factorization
 module and reported as capped under-approximations.  Length sets and
@@ -258,10 +260,26 @@ def block_length_set(
 
 
 def _sweep_masks(group: FiniteAbelianGroup, length_cap: int) -> Iterator[int]:
-    """Length masks of all blocks of length at most the cap, walked by
-    length with the atoms found once: every x - a is a shorter block whose
-    mask is in the sweep's one memo.  Refused up front when the C(|G| +
-    cap, cap) multisets times their length exceed SWEEP_CAP."""
+    """Length masks of all blocks of length at most the cap, one per block,
+    the empty block first.
+
+    Only zero-sum blocks are walked: a block of length k >= 2 is a
+    nondecreasing prefix of length k - 1 over the element indices, closed
+    by minus its sum (from a mixed-radix addition table) when that element
+    is at least the prefix's last one, so each block comes once.  The
+    explicit stack holds at most cap * |G| prefixes; a prefix is closed
+    when its parent is expanded, so none of length cap - 1 is pushed.
+
+    In every factorization of x the atom holding one occurrence of min(x)
+    has least element min(x), so the mask of x is the OR of the masks of
+    x - a shifted by one over the atoms a dividing x with that least
+    element.  Masks are filled by length in the sweep's one memo, where
+    every x - a is stored: ``_length_mask`` without its search below x.
+
+    Refused up front when the C(|G| + cap, cap) multisets times their
+    length exceed SWEEP_CAP.  That measure keeps the refusals unchanged;
+    the walk visits C(|G| + cap - 1, cap - 1) prefixes, the measure divided
+    by |G| + cap."""
     _check_group(group)
     if length_cap < 0:
         raise InputError(f"length cap must be >= 0, got {length_cap}")
@@ -269,13 +287,43 @@ def _sweep_masks(group: FiniteAbelianGroup, length_cap: int) -> Iterator[int]:
     if steps > SWEEP_CAP:
         raise CapExceeded(f"{steps} sweep steps up to length {length_cap} exceed the cap {SWEEP_CAP}")
     elems = sorted(group.elements())
+    facs = group.invariant_factors
+    place = [math.prod(facs[i + 1 :]) for i in range(len(facs))]  # the index of e is sum(e_i * place_i)
+    plus = [
+        [sum(terms) for terms in itertools.product(*([(c + b) % d * w for b in range(d)] for c, d, w in zip(e, facs, place)))]
+        for e in elems
+    ]
+    neg = [row.index(0) for row in plus]
     pack, minus = _packing(elems, length_cap)
-    atoms = [pack(a.elements) for a in minimal_zero_sum_atoms(group, None, length_cap)]
+    unit = [pack((e,)) for e in elems]
+    holders: list[list[int]] = [[] for _ in elems]
+    for a in minimal_zero_sum_atoms(group, None, length_cap):
+        holders[elems.index(a.elements[0])].append(pack(a.elements))
+    found: list[list[list[int]]] = [[[] for _ in elems] for _ in range(length_cap + 1)]
+    if length_cap:
+        found[1][0].append(unit[0])  # the empty prefix closed by zero
+    stack = [(0, 0, 0, 0, 0)] if length_cap > 1 else []  # length, least and last element, sum, packed prefix
+    while stack:
+        k, least, last, total, x = stack.pop()
+        row = plus[total]
+        for e in range(last, len(elems)):
+            first, close = least if k else e, neg[row[e]]
+            if close >= e:
+                found[k + 2][first].append(x + unit[e] + unit[close])
+            if k + 3 <= length_cap:
+                stack.append((k + 1, first, e, row[e], x + unit[e]))
     memo = {0: 1}
-    for k in range(length_cap + 1):
-        for combo in itertools.combinations_with_replacement(elems, k):
-            if all(sum(coords) % n == 0 for coords, n in zip(zip(*combo), group.invariant_factors)):
-                yield _length_mask(pack(combo), atoms, minus, memo)
+    yield 1
+    for by_least in found:
+        for atoms, xs in zip(holders, by_least):
+            for x in xs:
+                mask = 0
+                for a in atoms:
+                    rest = minus(x, a)
+                    if rest is not None:
+                        mask |= memo[rest]
+                memo[x] = mask << 1
+                yield memo[x]
 
 
 def delta_block_monoid(group: FiniteAbelianGroup, length_cap: int) -> BoundedResult:

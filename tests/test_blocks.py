@@ -3,10 +3,13 @@ import json
 import math
 import pathlib
 import random
+import sys
+from collections import Counter
 
 import pytest
 from tests_support_tblock import tblock_atoms_by_definition, tblock_lengths_by_recursion
 
+from wktoolkit import cli
 from wktoolkit.blocks import (
     SWEEP_CAP,
     Block,
@@ -22,8 +25,9 @@ from wktoolkit.blocks import (
     tblock_validate,
     uk_block_monoid,
 )
+from wktoolkit.blocks import _length_mask, _packing, _sweep_masks
 from wktoolkit.errors import CapError, CapExceeded, GroupTooLarge, InputError, NotZeroSum
-from wktoolkit.factor import delta_of
+from wktoolkit.factor import delta_of, delta_union, uk_union
 from wktoolkit.groups import FiniteAbelianGroup, cyclic
 from wktoolkit.numon import from_generators
 
@@ -332,6 +336,81 @@ def test_block_sweeps_match_per_block_oracle():
                 if k in ls:
                     union.update(ls)
             assert uk_block_monoid(g, k, cap).values == tuple(sorted(union)), (facs, k)
+
+
+def _walk_oracle_masks(group, cap):
+    # the walk the sweep replaced: every multiset up to the cap, the
+    # zero-sum ones by summing coordinates, and one mask per block
+    elems = sorted(group.elements())
+    pack, minus = _packing(elems, cap)
+    atoms = [pack(a.elements) for a in minimal_zero_sum_atoms(group, None, cap)]
+    memo = {0: 1}
+    for k in range(cap + 1):
+        for combo in itertools.combinations_with_replacement(elems, k):
+            if all(sum(coords) % n == 0 for coords, n in zip(zip(*combo), group.invariant_factors)):
+                yield _length_mask(pack(combo), atoms, minus, memo)
+
+
+def _chains(limit):
+    # every invariant-factor chain d1 | d2 | ... of order at most the limit, the trivial group first
+    chains, todo = [], [((), 1)]
+    while todo:
+        chain, order = todo.pop()
+        chains.append(chain)
+        todo.extend((chain + (d,), order * d) for d in range(2, limit // order + 1) if not chain or d % chain[-1] == 0)
+    return sorted(chains, key=lambda c: (math.prod(c), c))
+
+
+def test_block_sweep_matches_walk_oracle(monkeypatch):
+    swept = 0
+    oracle = {}
+    for facs in _chains(12):
+        g = FiniteAbelianGroup(facs)
+        for cap in range(9):
+            if math.comb(g.order + cap, cap) * cap > SWEEP_CAP:
+                continue
+            oracle[facs, cap] = Counter(_walk_oracle_masks(g, cap))
+            assert Counter(_sweep_masks(g, cap)) == oracle[facs, cap], (facs, cap)
+            swept += 1
+    assert swept == 151
+    # the rungs of U_k that set the benchmark's bounded-sweeps median; perfbench/ is read, not edited
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import UK_RUNGS
+
+    assert len(UK_RUNGS) == 12
+    for group, cap in UK_RUNGS:
+        facs = tuple(map(int, group.split(",")))
+        masks = list(oracle[facs, cap].elements())
+        g = FiniteAbelianGroup(facs)
+        assert delta_block_monoid(g, cap).values == delta_union(masks), (facs, cap)
+        for k in range(1, 8):
+            assert uk_block_monoid(g, k, cap).values == uk_union(masks, k), (facs, cap, k)
+
+
+def _depth():
+    frame, depth = sys._getframe(), 0
+    while frame:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_deep_caps_need_no_recursion(capsys):
+    cases = (((), 999), ((2,), 124), ((3,), 45))
+    expected = {(facs, cap): Counter(_walk_oracle_masks(FiniteAbelianGroup(facs), cap)) for facs, cap in cases}
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_depth() + 50)
+    try:
+        for facs, cap in cases:
+            g = FiniteAbelianGroup(facs)
+            assert Counter(_sweep_masks(g, cap)) == expected[facs, cap], (facs, cap)
+            masks = list(expected[facs, cap].elements())
+            assert delta_block_monoid(g, cap).values == delta_union(masks)
+            assert uk_block_monoid(g, 1, cap).values == uk_union(masks, 1)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert uk_block_monoid(FiniteAbelianGroup(()), 1, 999).values == (1,)
+    assert cli.run(["blocks", "delta", "--group", "2", "--cap", "125"]) == 3
+    assert capsys.readouterr().out == '{"error":"1000125 sweep steps up to length 125 exceed the cap 1000000","kind":"cap"}\n'
 
 
 def test_block_sweep_cap():
