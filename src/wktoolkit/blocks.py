@@ -15,13 +15,14 @@ realizes the pairing construction concretely while staying enumerable;
 inputs are user-supplied surrogates and results say so.
 
 Blocks and T-blocks are packed into integers, one guarded field per
-element and per t-coordinate.  Length sets never list factorizations: the
-mask of x, the OR over the atoms a dividing x of the mask of x - a shifted
-by one, is filled bottom-up.  The monoid-level sweeps walk only the
-zero-sum blocks, each once, and fill their masks by length in one memo,
-trying only the atoms that hold the block's least element (refused up
-front past SWEEP_CAP steps).
-T-block atoms come from one sieve over candidates in order of size.
+element and per t-coordinate.  Length sets never list factorizations: one
+kernel pushes length masks up from the empty element in order of size,
+ORing the mask of y shifted by one into y + a for each atom a whose lowest
+set bit is no higher than that of y.  The length set of one element
+streams it up to the element through the element's divisors only; the
+monoid-level sweeps take every block up to the length cap (refused up
+front past SWEEP_CAP steps).  T-block atoms come from one sieve over
+candidates in order of size.
 Distance and U_k sets are read off the masks as in the factorization
 module and reported as capped under-approximations.  Length sets and
 factorizations of one element are exact: every atom of a factorization
@@ -187,9 +188,9 @@ def _packed_atoms(
     group: FiniteAbelianGroup,
     g0: Iterable[Sequence[int]] | None,
     block: Block | Iterable[Sequence[int]],
-) -> tuple[int, list[Block], list[int], Callable]:
-    """The packed block, the atoms over g0 (default: the block's support)
-    that divide it, the packed atoms and their ``minus``."""
+) -> tuple[int, int, list[Block], list[int], Callable]:
+    """The packed block and its length, the atoms over g0 (default: the
+    block's support) that divide it, the packed atoms and their ``minus``."""
     _check_group(group)
     if not isinstance(block, Block):
         block = Block.make(group, block)
@@ -200,7 +201,7 @@ def _packed_atoms(
     pack, minus = _packing(support, max(block.length, group.order))
     x = pack(block.elements)
     atoms = [a for a in minimal_zero_sum_atoms(group, support, block.length) if minus(x, pack(a.elements)) is not None]
-    return x, atoms, [pack(a.elements) for a in atoms], minus
+    return x, block.length, atoms, [pack(a.elements) for a in atoms], minus
 
 
 def block_factorizations(
@@ -210,7 +211,7 @@ def block_factorizations(
 ) -> list[tuple[Block, ...]]:
     """All decompositions of a block into atoms, as canonically ordered
     atom tuples.  Exact: only atoms dividing the block can appear."""
-    x, atoms, packed, minus = _packed_atoms(group, g0, block)
+    x, _, atoms, packed, minus = _packed_atoms(group, g0, block)
     results: list[tuple[Block, ...]] = []
 
     def rec(remaining: int, start: int, chosen: list[Block]):
@@ -228,26 +229,37 @@ def block_factorizations(
     return results
 
 
-def _length_mask(x: int, atoms: Sequence[int], remainder: Callable, memo: dict) -> int:
-    """Bit l set iff packed x is a product of l atoms: the OR, over the
-    atoms a dividing x, of the mask of x - a shifted by one.
-    ``remainder(x, a)`` is as in ``_packing``; ``memo`` starts as {0: 1}
-    and keeps every mask found.  The states reachable from x by taking off
-    atoms are collected first; every x - a is smaller than x, so filling
-    them in ascending order finds the mask of each remainder stored."""
-    rests_of: dict[int, list[int]] = {}
-    todo = [x]
-    while todo:
-        y = todo.pop()
-        if y not in memo and y not in rests_of:
-            rests_of[y] = [rest for a in atoms if (rest := remainder(y, a)) is not None]
-            todo.extend(rests_of[y])
-    for y in sorted(rests_of):
-        mask = 0
-        for rest in rests_of[y]:
-            mask |= memo[rest]
-        memo[y] = mask << 1
-    return memo[x]
+def _masks(atoms: Iterable[tuple[int, int]], top: int, fits: Callable[[int], bool] | None) -> Iterator[tuple[int, int]]:
+    """Every sum y of the packed ``atoms``, given as (size, atom) pairs
+    with sizes of at least 1, of size at most ``top`` whose partial sums
+    all pass ``fits`` (None passes all), with its length mask: bit l set
+    iff y is a sum of l atoms.
+
+    Masks are pushed, not pulled: from the empty sum, in order of size,
+    each y is yielded and ``mask << 1`` is ORed into y + a.  Only atoms
+    with a & -a <= y & -y are tried from y != 0.  That is exact: in a
+    factorization of x, let a be an atom of lowest lowest set bit; the
+    other atoms are multiples of a & -a, hence so is their sum y = x - a,
+    and x is reached from y by a.  A size level is made when first
+    reached and dropped once visited, so one length set keeps only its
+    frontier.
+
+    The callers' ``fits`` test divisibility of an element x with ``minus``
+    from ``_packing``; it is only asked about y + a where y and a each lie
+    fieldwise below x, so no field of y + a exceeds twice its field in x,
+    and (x | guard) - (y + a) never borrows across fields."""
+    order = sorted((a & -a, size, a) for size, a in atoms)
+    levels = {0: {0: 1}}
+    for size in range(top + 1):
+        for y, mask in levels.pop(size, {}).items():
+            yield y, mask
+            low = y & -y
+            for least, step, a in order:
+                if y and least > low:
+                    break
+                if size + step <= top and (fits is None or fits(y + a)):
+                    level = levels.setdefault(size + step, {})
+                    level[y + a] = level.get(y + a, 0) | mask << 1
 
 
 def block_length_set(
@@ -255,75 +267,25 @@ def block_length_set(
     g0: Iterable[Sequence[int]] | None,
     block: Block | Iterable[Sequence[int]],
 ) -> tuple[int, ...]:
-    x, _, packed, minus = _packed_atoms(group, g0, block)
-    return lengths_of(_length_mask(x, packed, minus, {0: 1}))
+    x, length, atoms, packed, minus = _packed_atoms(group, g0, block)
+    masks = _masks(((a.length, p) for a, p in zip(atoms, packed)), length, lambda z: minus(x, z) is not None)
+    return lengths_of(next(mask for y, mask in masks if y == x))
 
 
 def _sweep_masks(group: FiniteAbelianGroup, length_cap: int) -> Iterator[int]:
     """Length masks of all blocks of length at most the cap, one per block,
-    the empty block first.
-
-    Only zero-sum blocks are walked: a block of length k >= 2 is a
-    nondecreasing prefix of length k - 1 over the element indices, closed
-    by minus its sum (from a mixed-radix addition table) when that element
-    is at least the prefix's last one, so each block comes once.  The
-    explicit stack holds at most cap * |G| prefixes; a prefix is closed
-    when its parent is expanded, so none of length cap - 1 is pushed.
-
-    In every factorization of x the atom holding one occurrence of min(x)
-    has least element min(x), so the mask of x is the OR of the masks of
-    x - a shifted by one over the atoms a dividing x with that least
-    element.  Masks are filled by length in the sweep's one memo, where
-    every x - a is stored: ``_length_mask`` without its search below x.
-
-    Refused up front when the C(|G| + cap, cap) multisets times their
-    length exceed SWEEP_CAP.  That measure keeps the refusals unchanged;
-    the walk visits C(|G| + cap - 1, cap - 1) prefixes, the measure divided
-    by |G| + cap."""
+    the empty block first, pushed from the atoms up to the cap by
+    ``_masks``.  Refused up front when the C(|G| + cap, cap) multisets
+    times their length exceed SWEEP_CAP."""
     _check_group(group)
     if length_cap < 0:
         raise InputError(f"length cap must be >= 0, got {length_cap}")
     steps = math.comb(group.order + length_cap, length_cap) * length_cap
     if steps > SWEEP_CAP:
         raise CapExceeded(f"{steps} sweep steps up to length {length_cap} exceed the cap {SWEEP_CAP}")
-    elems = sorted(group.elements())
-    facs = group.invariant_factors
-    place = [math.prod(facs[i + 1 :]) for i in range(len(facs))]  # the index of e is sum(e_i * place_i)
-    plus = [
-        [sum(terms) for terms in itertools.product(*([(c + b) % d * w for b in range(d)] for c, d, w in zip(e, facs, place)))]
-        for e in elems
-    ]
-    neg = [row.index(0) for row in plus]
-    pack, minus = _packing(elems, length_cap)
-    unit = [pack((e,)) for e in elems]
-    holders: list[list[int]] = [[] for _ in elems]
-    for a in minimal_zero_sum_atoms(group, None, length_cap):
-        holders[elems.index(a.elements[0])].append(pack(a.elements))
-    found: list[list[list[int]]] = [[[] for _ in elems] for _ in range(length_cap + 1)]
-    if length_cap:
-        found[1][0].append(unit[0])  # the empty prefix closed by zero
-    stack = [(0, 0, 0, 0, 0)] if length_cap > 1 else []  # length, least and last element, sum, packed prefix
-    while stack:
-        k, least, last, total, x = stack.pop()
-        row = plus[total]
-        for e in range(last, len(elems)):
-            first, close = least if k else e, neg[row[e]]
-            if close >= e:
-                found[k + 2][first].append(x + unit[e] + unit[close])
-            if k + 3 <= length_cap:
-                stack.append((k + 1, first, e, row[e], x + unit[e]))
-    memo = {0: 1}
-    yield 1
-    for by_least in found:
-        for atoms, xs in zip(holders, by_least):
-            for x in xs:
-                mask = 0
-                for a in atoms:
-                    rest = minus(x, a)
-                    if rest is not None:
-                        mask |= memo[rest]
-                memo[x] = mask << 1
-                yield memo[x]
+    pack, _ = _packing(sorted(group.elements()), length_cap)
+    atoms = [(a.length, pack(a.elements)) for a in minimal_zero_sum_atoms(group, None, length_cap)]
+    return (mask for _, mask in _masks(atoms, length_cap, None))
 
 
 def delta_block_monoid(group: FiniteAbelianGroup, length_cap: int) -> BoundedResult:
@@ -491,6 +453,8 @@ def tblock_length_set(
     The optional caps only reject oversized inputs.
     """
     _check_group(spec.group)
+    if t_caps is not None and len(t_caps) != len(spec.components):
+        raise InputError("one t-cap per component is required")
     if not tblock_validate(spec, e):
         raise NotZeroSum("element is not a valid T-block")
     if block_cap is not None and len(e.elements) > block_cap:
@@ -500,4 +464,7 @@ def tblock_length_set(
     counts = tuple(map(e.elements.count, spec.g0))
     count_vectors = itertools.product(*(range(c + 1) for c in counts))
     pack, remainder, atoms = _tblock_atoms(spec, count_vectors, math.prod(c + 1 for c in counts), len(e.elements), e.t)
-    return TBlockLengthResult(values=lengths_of(_length_mask(pack(e.elements, e.t), list(atoms), remainder, {0: 1})))
+    x = pack(e.elements, e.t)
+    sized = [(len(a.elements) + sum(a.t), p) for p, a in atoms.items()]
+    masks = _masks(sized, len(e.elements) + sum(e.t), lambda z: remainder(x, z) is not None)
+    return TBlockLengthResult(values=lengths_of(next(mask for y, mask in masks if y == x)))

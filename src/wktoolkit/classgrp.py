@@ -159,6 +159,8 @@ def _closure(op: Callable, seed: Iterable) -> set:
 def cv_numerical_ring(p: int, s: NumericalMonoid) -> ClassGroupResult:
     """Class group of the semigroup ring of s over the prime field F_p,
     by the conductor-square unit quotient."""
+    if not is_prime(p):
+        raise InputError(f"{p} is not prime")
     c = s.conductor
     if c == 0:
         return ClassGroupResult(

@@ -25,7 +25,7 @@ from wktoolkit.blocks import (
     tblock_validate,
     uk_block_monoid,
 )
-from wktoolkit.blocks import _length_mask, _packing, _sweep_masks
+from wktoolkit.blocks import _packing, _sweep_masks
 from wktoolkit.errors import CapError, CapExceeded, GroupTooLarge, InputError, NotZeroSum
 from wktoolkit.factor import delta_of, delta_union, uk_union
 from wktoolkit.groups import FiniteAbelianGroup, cyclic
@@ -288,6 +288,9 @@ def test_tblock_caps():
         tblock_length_set(spec, TBlockElement.make(spec, [(1,)], (3,)), block_cap=0)
     with pytest.raises(InputError):
         tblock_atoms_bounded(spec, 2, (1, 2))
+    for t_caps in ((), (3, 3)):  # one cap per component, as for the atoms
+        with pytest.raises(InputError):
+            tblock_length_set(spec, TBlockElement.make(spec, [(1,)], (3,)), t_caps=t_caps)
 
 
 def _random_block(rng, group, support, max_len):
@@ -304,6 +307,20 @@ def _enumerated_block_length_set(group, g0, elems):
 
 
 def test_block_length_set_matches_factorization_oracle():
+    # blocks with no field slack: a count above half its packed field, so
+    # that y + a reaches the field's guard bit, or a whole field (7 copies
+    # in a field of 3 bits)
+    c2, c3, c7 = cyclic(2), cyclic(3), cyclic(7)
+    for g, g0, elems in (
+        (c2, None, [(0,)] + [(1,)] * 6),
+        (c2, None, [(0,)] * 7),
+        (c3, None, [(0,)] + [(1,)] * 6),
+        (c3, [(1,), (2,)], [(1,)] * 5 + [(2,)] * 2),
+        (c7, None, [(1,)] * 7),
+        (c2, [(1,)], [(1,)] * 14),
+        (c3, [(1,), (2,)], [(1,)] * 12 + [(2,)] * 3),
+    ):
+        assert block_length_set(g, g0, elems) == _enumerated_block_length_set(g, g0, elems), (g, g0, elems)
     rng = random.Random(8)
     for facs in ((1,), (2,), (3,), (4,), (2, 2), (5,), (6,), (7,), (8,), (2, 4), (2, 2, 2)):
         g = cyclic(facs[0]) if len(facs) == 1 else FiniteAbelianGroup(facs)
@@ -336,6 +353,25 @@ def test_block_sweeps_match_per_block_oracle():
                 if k in ls:
                     union.update(ls)
             assert uk_block_monoid(g, k, cap).values == tuple(sorted(union)), (facs, k)
+
+
+def _length_mask(x, atoms, remainder, memo):
+    # the pull kernel the push kernel replaced: bit l set iff packed x is a
+    # product of l atoms, the OR over the atoms a dividing x of the mask of
+    # x - a shifted by one; memo starts as {0: 1} and keeps every mask
+    rests_of = {}
+    todo = [x]
+    while todo:
+        y = todo.pop()
+        if y not in memo and y not in rests_of:
+            rests_of[y] = [rest for a in atoms if (rest := remainder(y, a)) is not None]
+            todo.extend(rests_of[y])
+    for y in sorted(rests_of):  # every x - a is smaller than x
+        mask = 0
+        for rest in rests_of[y]:
+            mask |= memo[rest]
+        memo[y] = mask << 1
+    return memo[x]
 
 
 def _walk_oracle_masks(group, cap):
@@ -462,6 +498,12 @@ def test_tblock_length_set_matches_recursion_oracle():
             assert tblock_length_set(spec, e).values == tblock_lengths_by_recursion(spec, e), (facs, elems, t)
             checked += len(tblock_length_set(spec, e).values) > 1
     assert checked  # some drawn element has more than one length
+    # t-coordinates of 2**k - 1 fill their packed fields
+    spec = TBlockSpec.make(cyclic(2), [(1,)], [(from_generators([2, 3]), (1,)), (from_generators([3, 4]), (0,))])
+    for elems, t in (([(1,)], (3, 7)), ([(1,)] * 7, (15, 0)), ([], (0, 15)), ([(1,)] * 3, (7, 31))):
+        e = TBlockElement.make(spec, elems, t)
+        assert tblock_validate(spec, e)
+        assert tblock_length_set(spec, e).values == tblock_lengths_by_recursion(spec, e), (elems, t)
 
 
 def _random_tblock_spec(rng):

@@ -92,6 +92,16 @@ def test_exit_codes(capsys):
     assert cli.run([]) == 2
 
 
+def test_classgroup_numerical_checks_the_prime_first(capsys):
+    # the free monoid <1> has conductor 0 and a trivial class group, but p must still be prime
+    for p in ("4", "-3"):
+        code, out = _run(capsys, ["classgroup", "numerical", "--p", p, "--gens", "1"])
+        assert code == 2
+        assert json.loads(out)["error"] == f"{p} is not prime"
+    code, out = _run(capsys, ["classgroup", "numerical", "--p", "4", "--gens", "2,3"])
+    assert (code, json.loads(out)["error"]) == (2, "4 is not prime")
+
+
 def test_multiplicity_cap_exits_before_allocating(capsys):
     # the Apéry set would hold one entry per residue mod 1000003
     code, out = _run(capsys, ["numon", "info", "--gens", "1000003,1000033"])
