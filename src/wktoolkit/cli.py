@@ -89,6 +89,10 @@ def parse_group(text: str) -> groups.FiniteAbelianGroup:
 
 
 def parse_element(text: str) -> tuple[int, ...]:
+    """Coordinates separated by ':'; the empty text is the element of the
+    trivial group, which has none."""
+    if not text:
+        return ()
     try:
         return tuple(int(tok) for tok in text.split(":"))
     except ValueError as exc:

@@ -141,22 +141,11 @@ def _factorint(n: int) -> dict[int, int]:
 
 
 def combine_invariant_factors(*factor_lists: Sequence[int]) -> tuple[int, ...]:
-    """Invariant factors of the direct sum of groups given by invariant factors."""
-    exps: dict[int, list[int]] = {}
-    for facs in factor_lists:
-        for d in facs:
-            for p, e in _factorint(int(d)).items():
-                exps.setdefault(p, []).append(e)
-    width = max((len(v) for v in exps.values()), default=0)
-    descending = []
-    for j in range(width):
-        d = 1
-        for p, es in exps.items():
-            es_sorted = sorted(es, reverse=True)
-            if j < len(es_sorted):
-                d *= p ** es_sorted[j]
-        descending.append(d)
-    return tuple(reversed(descending))
+    """Invariant factors of the direct sum of groups given by invariant
+    factors: the Smith normal form of the diagonal matrix of all of them."""
+    factors = [int(d) for facs in factor_lists for d in facs]
+    diagonal = [[d if i == j else 0 for j in range(len(factors))] for i, d in enumerate(factors)]
+    return smith_normal_form(diagonal).invariant_factors
 
 
 # ---------------------------------------------------------------------------

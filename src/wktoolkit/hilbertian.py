@@ -26,7 +26,7 @@ from .errors import (
     InputError,
     ZeroConstantTerm,
 )
-from .groups import is_prime
+from .groups import _factorint, is_prime
 
 Coeffs = tuple[int, ...]
 
@@ -131,7 +131,7 @@ def is_irreducible(f: PrimePolynomial) -> bool:
     p = f.p
     x: Coeffs = (0, 1)
     mod = f.coefficients
-    for q in _prime_divisors(n):
+    for q in _factorint(n):
         h = poly_pow_mod(x, p ** (n // q), mod, p)
         diff = _poly_sub(h, x, p)
         g = poly_gcd(mod, diff, p)
@@ -147,20 +147,6 @@ def _poly_sub(a: Coeffs, b: Coeffs, p: int) -> Coeffs:
     for i, bi in enumerate(b):
         out[i] = (out[i] - bi) % p
     return _trim(out)
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def find_irreducible_with_prefix(

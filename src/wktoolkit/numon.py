@@ -9,9 +9,10 @@ Frobenius number is max(apery) - m, and the gaps are the n < apery[n mod m],
 so there are sum(apery[r] // m) of them (the genus, Selmer 1977).
 
 Fractional ideals are nonempty subsets I of the integers with I + S
-contained in I and a minimum element.  Every such I is cofinite above, so
-the representation "explicit window below a threshold, everything at or
-above the threshold" is exact, and the dual, v-closure and sums terminate.
+contained in I and a minimum element.  Such an I is closed under + m, so it
+is stored the way S is: ``mins[r]`` is the least member of I congruent to r
+mod m, and I is the union of the rays mins[r] + mN.  Membership, the dual,
+sums and the generated ideal are then closed formulas over the m residues.
 The v- and t-operations coincide here: every ideal of this shape is the
 v-closure of a finitely generated one, and t is the directed union of v
 over finitely generated subideals.
@@ -173,18 +174,18 @@ def enumerate_numerical_monoids(max_frobenius: int) -> Iterator[NumericalMonoid]
 
 
 def apery_set(s: NumericalMonoid, n: int) -> tuple[int, ...]:
-    """The least member of s in each residue class mod n, sorted."""
+    """The least member of s in each residue class mod n, sorted.
+
+    A member w is in it iff w - n is a gap.  In the class of r mod m the
+    members run from apery[r] by steps of m, and w - n is a gap iff
+    w < apery[(r - n) % m] + n.
+    """
     if n == 0 or not s.contains(n):
         raise NotInMonoid(f"{n} is not a nonzero element of {s}")
     if n > MULTIPLICITY_CAP:
         raise SizeCapExceeded(f"an Apéry set of {n} entries exceeds the cap {MULTIPLICITY_CAP}")
-    out = []
-    for r in range(n):
-        m = r
-        while not s.contains(m):
-            m += n
-        out.append(m)
-    return tuple(sorted(out))
+    ap, m = s.apery, s.multiplicity
+    return tuple(sorted(w for r in range(m) for w in range(ap[r], ap[(r - n) % m] + n, m)))
 
 
 def is_seminormal(s: NumericalMonoid) -> tuple[bool, int | None]:
@@ -219,34 +220,38 @@ def is_valuation(s: NumericalMonoid) -> bool:
 
 @dataclass(frozen=True)
 class MonoidIdeal:
-    """Fractional ideal of a numerical monoid in window-plus-threshold form.
+    """Fractional ideal of a numerical monoid: ``mins[r]`` is its least
+    member congruent to r mod the multiplicity m, and the ideal is the union
+    of the rays mins[r] + mN.
 
-    ``window`` holds the members strictly below ``threshold``; every
-    integer at or above the threshold belongs.  The stored form is
-    canonical: the threshold is minimal for the window given.
+    Its largest non-member is max(mins) - m, so ``threshold`` is the least
+    integer from which on everything belongs, and ``window`` lists the
+    members below it.
     """
 
     owner: NumericalMonoid
-    window: tuple[int, ...]
-    threshold: int
-
-    @cached_property
-    def _windowset(self) -> frozenset[int]:
-        return frozenset(self.window)
+    mins: tuple[int, ...]
 
     @property
     def min_element(self) -> int:
-        return self.window[0] if self.window else self.threshold
+        return min(self.mins)
+
+    @property
+    def threshold(self) -> int:
+        return max(self.mins) - len(self.mins) + 1
+
+    @property
+    def window(self) -> tuple[int, ...]:
+        return tuple(self.elements_below(self.threshold))
 
     def contains(self, n: int) -> bool:
-        return n >= self.threshold or n in self._windowset
+        return n >= self.mins[n % len(self.mins)]
 
     __contains__ = contains
 
     def elements_below(self, bound: int) -> list[int]:
-        out = [w for w in self.window if w < bound]
-        out.extend(range(self.threshold, bound))
-        return out
+        m = len(self.mins)
+        return sorted(n for w in self.mins for n in range(w, bound, m))
 
     def to_json(self) -> dict:
         return {"window": list(self.window), "threshold": self.threshold}
@@ -257,31 +262,30 @@ class MonoidIdeal:
 
 
 def make_ideal(owner: NumericalMonoid, elements: Iterable[int], threshold: int) -> MonoidIdeal:
-    """Canonicalize and validate a window-plus-threshold ideal."""
+    """The ideal holding ``elements`` below ``threshold`` and every integer
+    from it on; the set must be closed under the monoid action."""
     t = int(threshold)
-    elems = sorted({int(x) for x in elements if x < t})
-    while elems and elems[-1] == t - 1:
-        t -= 1
-        elems.pop()
-    ideal = MonoidIdeal(owner, tuple(elems), t)
-    for w in ideal.window:
+    window = sorted({int(x) for x in elements if x < t})
+    members = set(window)
+    for w in window:
         for a in owner.atoms:
-            if not ideal.contains(w + a):
+            if w + a < t and w + a not in members:
                 raise InputError(f"{w} + {a} missing: not closed under the monoid action")
-    return ideal
+    m = owner.multiplicity
+    mins = [t + (r - t) % m for r in range(m)]
+    for w in window:
+        mins[w % m] = min(mins[w % m], w)
+    return MonoidIdeal(owner, tuple(mins))
 
 
 def ideal_from_generators(owner: NumericalMonoid, gens: Iterable[int]) -> MonoidIdeal:
-    """The fractional ideal generated by finitely many integers: union of
-    translates g + owner."""
+    """The fractional ideal generated by finitely many integers: the union
+    of the translates g + owner, whose least member ≡ r is g + apery[(r - g) % m]."""
     gen_list = sorted({int(g) for g in gens})
     if not gen_list:
         raise EmptyGenerators("an ideal needs at least one generator")
-    threshold = gen_list[-1] + owner.conductor
-    elems = set()
-    for g in gen_list:
-        elems.update(g + s for s in owner.elements_up_to(threshold - g))
-    return make_ideal(owner, elems, threshold)
+    ap, m = owner.apery, owner.multiplicity
+    return MonoidIdeal(owner, tuple(min(g + ap[(r - g) % m] for g in gen_list) for r in range(m)))
 
 
 def principal_ideal(owner: NumericalMonoid, g: int) -> MonoidIdeal:
@@ -293,39 +297,22 @@ def monoid_as_ideal(owner: NumericalMonoid) -> MonoidIdeal:
 
 
 def unique_maximal_ideal(s: NumericalMonoid) -> MonoidIdeal:
-    """The set of nonzero elements, which is the unique nonempty prime.
-
-    The primality check is cheap and done here: sums of members avoid the
-    complement {0} unless both are 0, and every atom translates s into the
-    ideal.
-    """
-    m = make_ideal(
-        s,
-        [n for n in range(1, s.conductor) if s.contains(n)],
-        max(s.conductor, 1),
-    )
-    for a in s.atoms:
-        if not m.contains(a):
-            raise AssertionError("atom missing from the maximal ideal")
-        for x in s.elements_up_to(s.conductor + 1):
-            if not m.contains(a + x):
-                raise AssertionError("maximal ideal not closed")
-    return m
+    """The set of nonzero elements, which is the unique nonempty prime: the
+    Apéry set with m in place of 0."""
+    return MonoidIdeal(s, (s.multiplicity,) + s.apery[1:])
 
 
 def ideal_dual(i: MonoidIdeal) -> MonoidIdeal:
     """The dual { x : x + i is contained in the monoid }.
 
-    Checking x + w for the members w below conductor + min suffices: for
-    w >= conductor + min(i), x + w >= conductor already.
+    Since the monoid is closed under + m, x + i lies in it iff x + w does
+    for every w in i.mins, that is iff x >= apery[(x + w) % m] - w; each of
+    these bounds is congruent to x mod m, so their maximum is the least
+    member of the dual in that class.
     """
-    s = i.owner
-    c = s.conductor
-    m = i.min_element
-    hi = c - m  # every x >= hi translates all of i past the conductor
-    probe = i.elements_below(c + m)
-    window = [x for x in range(-m, hi) if all(s.contains(x + w) for w in probe)]
-    return make_ideal(s, window, hi)
+    ap = i.owner.apery
+    m = len(ap)
+    return MonoidIdeal(i.owner, tuple(max(ap[(r + w) % m] - w for w in i.mins) for r in range(m)))
 
 
 def v_closure(i: MonoidIdeal) -> MonoidIdeal:
@@ -335,14 +322,13 @@ def v_closure(i: MonoidIdeal) -> MonoidIdeal:
 
 
 def ideal_add(i: MonoidIdeal, j: MonoidIdeal) -> MonoidIdeal:
+    """The sum i + j, the union of the rays a + b + mN over a in i.mins and
+    b in j.mins: a min-plus convolution over the residues."""
     if i.owner != j.owner:
         raise InputError("ideals of different monoids")
-    threshold = i.threshold + j.threshold
-    sums = set()
-    for a in i.elements_below(threshold - j.min_element):
-        for b in j.elements_below(threshold - a):
-            sums.add(a + b)
-    return make_ideal(i.owner, sums, threshold)
+    m = len(i.mins)
+    mins = (min(a + j.mins[(r - ra) % m] for ra, a in enumerate(i.mins)) for r in range(m))
+    return MonoidIdeal(i.owner, tuple(mins))
 
 
 def is_t_invertible(i: MonoidIdeal) -> bool:

@@ -319,6 +319,20 @@ def test_trivial_group_on_cli(capsys):
     assert json.loads(out)["davenport_constant"] == 0
 
 
+def test_trivial_group_element_reads_back(capsys):
+    # the one atom of the trivial group prints as {"": 1}; its empty token reads back
+    code, out = _run(capsys, ["blocks", "atoms", "--group", "1"])
+    assert code == 0 and json.loads(out)["atoms"] == [{"": 1}]
+    assert cli.parse_element("") == ()
+    code, out = _run(capsys, ["blocks", "lengths", "--group", "1", "--element", ","])
+    assert code == 0
+    assert json.loads(out)["lengths"] == [2]
+    # over a non-trivial group an empty token has the wrong rank
+    code, out = _run(capsys, ["blocks", "lengths", "--group", "2", "--element", "1,,1"])
+    assert code == 2
+    assert json.loads(out)["kind"] == "input"
+
+
 def test_missing_element_is_input_error(capsys):
     code, _ = _run(capsys, ["factor", "factorizations", "--gens", "2,3"])
     assert code == 2

@@ -56,6 +56,10 @@ def test_combine_invariant_factors():
     assert combine_invariant_factors((2,), (2,)) == (2, 2)
     assert combine_invariant_factors((2, 4), (3,)) == (2, 12)
     assert combine_invariant_factors((), ()) == ()
+    # factor lists that are no divisibility chain
+    assert combine_invariant_factors((2, 3), (4, 6)) == (2, 6, 12)
+    assert combine_invariant_factors((4, 6, 9)) == (6, 36)
+    assert combine_invariant_factors((6,), (10,), (15,)) == (30, 30)
 
 
 # ---------------------------------------------------------------------------

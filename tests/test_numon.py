@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -395,3 +396,162 @@ def test_maximal_ideal_t_invertible_iff_free_exhaustive():
         m = unique_maximal_ideal(s)
         assert v_closure(m) == m
         assert is_t_invertible(m) == s.is_free
+
+
+# ---------------------------------------------------------------------------
+# oracle: ideals in window-plus-threshold form, by scanning the integers up
+# to the conductor, and Apéry sets by walking each residue class mod n
+
+
+class _WindowIdeal:
+    """``window`` holds the members strictly below ``threshold``; every
+    integer at or above the threshold belongs.  The threshold is minimal."""
+
+    def __init__(self, owner, window, threshold):
+        self.owner, self.window, self.threshold = owner, tuple(window), threshold
+        self._windowset = frozenset(window)
+
+    @property
+    def min_element(self):
+        return self.window[0] if self.window else self.threshold
+
+    def contains(self, n):
+        return n >= self.threshold or n in self._windowset
+
+    def elements_below(self, bound):
+        out = [w for w in self.window if w < bound]
+        out.extend(range(self.threshold, bound))
+        return out
+
+    def to_json(self):
+        return {"window": list(self.window), "threshold": self.threshold}
+
+    def __eq__(self, other):
+        return (self.owner, self.window, self.threshold) == (other.owner, other.window, other.threshold)
+
+
+def _oracle_make_ideal(owner, elements, threshold):
+    t = int(threshold)
+    elems = sorted({int(x) for x in elements if x < t})
+    while elems and elems[-1] == t - 1:
+        t -= 1
+        elems.pop()
+    ideal = _WindowIdeal(owner, elems, t)
+    for w in ideal.window:
+        for a in owner.atoms:
+            if not ideal.contains(w + a):
+                raise InputError(f"{w} + {a} missing: not closed under the monoid action")
+    return ideal
+
+
+def _oracle_from_generators(owner, gens):
+    gen_list = sorted({int(g) for g in gens})
+    threshold = gen_list[-1] + owner.conductor
+    elems = set()
+    for g in gen_list:
+        elems.update(g + s for s in owner.elements_up_to(threshold - g))
+    return _oracle_make_ideal(owner, elems, threshold)
+
+
+def _oracle_dual(i):
+    s = i.owner
+    c = s.conductor
+    m = i.min_element
+    hi = c - m  # every x >= hi translates all of i past the conductor
+    probe = i.elements_below(c + m)
+    window = [x for x in range(-m, hi) if all(s.contains(x + w) for w in probe)]
+    return _oracle_make_ideal(s, window, hi)
+
+
+def _oracle_add(i, j):
+    threshold = i.threshold + j.threshold
+    sums = set()
+    for a in i.elements_below(threshold - j.min_element):
+        for b in j.elements_below(threshold - a):
+            sums.add(a + b)
+    return _oracle_make_ideal(i.owner, sums, threshold)
+
+
+def _oracle_t_invertible(i):
+    vv = _oracle_dual(_oracle_dual(_oracle_add(i, _oracle_dual(i))))
+    return vv == _oracle_from_generators(i.owner, [0])
+
+
+def _oracle_apery_set(s, n):
+    out = []
+    for r in range(n):
+        m = r
+        while not s.contains(m):
+            m += n
+        out.append(m)
+    return tuple(sorted(out))
+
+
+def _same(ideal, oracle):
+    return json.dumps(ideal.to_json()) == json.dumps(oracle.to_json())
+
+
+def test_ideals_match_window_oracle():
+    rng = random.Random(2009)
+    monoids = list(enumerate_numerical_monoids(9))
+    for _ in range(500):
+        s = rng.choice(monoids)
+        gens = [rng.randint(-8, 20) for _ in range(rng.randint(1, 4))]
+        i, oi = ideal_from_generators(s, gens), _oracle_from_generators(s, gens)
+        assert _same(i, oi), (s, gens)
+        assert str(i) == "{" + ", ".join([str(w) for w in oi.window] + [f"[{oi.threshold}..)"]) + "}"
+        assert i.min_element == oi.min_element
+        assert [x for x in range(-10, oi.threshold + 3) if i.contains(x)] == oi.elements_below(oi.threshold + 3)
+        d, od = ideal_dual(i), _oracle_dual(oi)
+        assert _same(d, od), (s, gens)
+        assert _same(v_closure(i), _oracle_dual(od)), (s, gens)
+        other = [rng.randint(-8, 20) for _ in range(rng.randint(1, 3))]
+        j = ideal_from_generators(s, other)
+        assert _same(ideal_add(i, j), _oracle_add(oi, _oracle_from_generators(s, other))), (s, gens, other)
+        assert _same(ideal_add(i, d), _oracle_add(oi, od)), (s, gens)
+        assert is_t_invertible(i) == _oracle_t_invertible(oi), (s, gens)
+
+
+def test_make_ideal_matches_window_oracle():
+    rng = random.Random(1977)
+    monoids = list(enumerate_numerical_monoids(9))
+    accepted = rejected = 0
+    for _ in range(500):
+        s = rng.choice(monoids)
+        i = ideal_from_generators(s, [rng.randint(-8, 20) for _ in range(rng.randint(1, 3))])
+        t = i.threshold + rng.randint(-3, 4)
+        elements = i.elements_below(t) + [t + rng.randint(0, 5)]
+        if rng.random() < 0.5 and elements[:-1]:
+            elements.remove(rng.choice(elements[:-1]))
+        elements += [rng.randint(i.min_element - 5, t + 5) for _ in range(rng.randint(0, 1))]
+        try:
+            expected = _oracle_make_ideal(s, elements, t)
+        except InputError as exc:
+            with pytest.raises(InputError) as got:
+                make_ideal(s, elements, t)
+            assert str(got.value) == str(exc)
+            rejected += 1
+        else:
+            assert _same(make_ideal(s, elements, t), expected), (s, elements, t)
+            accepted += 1
+    assert accepted > 100 and rejected > 100
+
+
+def test_apery_set_matches_walk():
+    for s in enumerate_numerical_monoids(9):
+        m = s.multiplicity
+        for n in range(1, s.conductor + 2 * m + 1):
+            if s.contains(n):
+                assert apery_set(s, n) == _oracle_apery_set(s, n), (s, n)
+
+
+def test_unique_maximal_ideal_is_prime_exhaustive():
+    # every atom lies in M, and M is closed under the atoms
+    for s in enumerate_numerical_monoids(12):
+        m = unique_maximal_ideal(s)
+        assert not m.contains(0)
+        assert [x for x in range(1, s.conductor + 1) if m.contains(x)] == list(s.elements_up_to(s.conductor))[1:]
+        for a in s.atoms:
+            assert m.contains(a)
+            for x in s.elements_up_to(s.conductor + 1):
+                assert m.contains(a + x)
