@@ -41,9 +41,7 @@ Input grammars (shared by several subcommands):
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
-import hashlib
 import json
 import os
 import sys
@@ -388,6 +386,8 @@ def _classgroup_direct_sum(args) -> dict:
 
 
 def _decide(args, question) -> dict:
+    import dataclasses
+
     d = parse_domain(args.domain)
     if args.char is not None:
         if args.char != 0 and not groups.is_prime(args.char):
@@ -522,6 +522,8 @@ def _cache_path(cache_dir: str) -> str:
 
 
 def request_key(subcommand: str, args_dict: dict) -> str:
+    import hashlib
+
     canon = json.dumps(
         {"op": subcommand, "input": args_dict, "version": __version__},
         sort_keys=True,
@@ -628,14 +630,13 @@ def run(argv: list[str] | None = None) -> int:
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
     use_cache = bool(cache_dir) and not args.no_cache
 
-    request = {
-        key: value
-        for key, value in sorted(vars(args).items())
-        if key not in ("cache_dir", "no_cache", "pretty") and value is not None
-    }
-    key = request_key(args.subcommand, request)
-
     if use_cache:
+        request = {
+            key: value
+            for key, value in sorted(vars(args).items())
+            if key not in ("cache_dir", "no_cache", "pretty") and value is not None
+        }
+        key = request_key(args.subcommand, request)
         hit = cache_get(cache_dir, key)
         if hit is not None:
             _emit(hit["payload"], args.pretty)

@@ -195,6 +195,8 @@ def symbolic_field(
 ) -> DomainDescriptor:
     if characteristic not in (None, 0) and not is_prime(characteristic):
         raise InputError(f"characteristic {characteristic} is neither 0 nor prime")
+    if name is None and characteristic is None:
+        name = "field of unknown characteristic"
     return DomainDescriptor(
         kind="symbolic-field",
         name=name or f"field of characteristic {characteristic}",

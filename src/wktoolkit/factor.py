@@ -2,7 +2,8 @@
 
 ``factorizations`` enumerates every way to write an element as a
 nonnegative combination of the atoms, in lexicographic order of exponent
-vectors, so output is deterministic and byte-stable.  Length sets do not
+vectors, so output is deterministic and byte-stable; it counts them first
+and refuses more than ``FACTORIZATIONS_CAP``.  Length sets do not
 enumerate: ``length_masks`` holds them as bitmasks, computed bottom-up for
 all elements up to a bound, with its size capped before it allocates.
 ``delta_union`` and ``uk_union`` read distance sets and U_k off the masks,
@@ -22,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
+from itertools import accumulate
 from operator import or_
 from typing import Iterable, Iterator, Sequence
 
@@ -31,6 +33,7 @@ from .numon import NumericalMonoid
 
 CELLS_CAP = 10**6
 WINDOW_CAP = 10**8
+FACTORIZATIONS_CAP = 10**5
 
 
 @dataclass(frozen=True)
@@ -66,10 +69,28 @@ class BoundedResult:
         return out
 
 
+def _factorization_count(s: NumericalMonoid, n: int) -> int:
+    """The number of factorizations of n, counted one atom at a time
+    (coin change): taking atom a turns the counts of each residue class
+    mod a into their running sums.  Refused past ``CELLS_CAP`` cells."""
+    atoms = s.atoms
+    if (n + 1) * len(atoms) > CELLS_CAP:
+        raise SizeCapExceeded(f"{(n + 1) * len(atoms)} factorization-count cells exceed the cap {CELLS_CAP}")
+    ways = [1] + [0] * n
+    for a in atoms:
+        for r in range(min(a, n + 1)):
+            ways[r::a] = accumulate(ways[r::a])
+    return ways[n]
+
+
 def factorizations(s: NumericalMonoid, n: int) -> list[Factorization]:
-    """All solutions of sum(x_i * atom_i) = n with x >= 0, lexicographic."""
+    """All solutions of sum(x_i * atom_i) = n with x >= 0, lexicographic;
+    refused before listing when there are more than ``FACTORIZATIONS_CAP``."""
     if not s.contains(n):
         raise NotInMonoid(f"{n} is not in {s}")
+    count = _factorization_count(s, n)
+    if count > FACTORIZATIONS_CAP:
+        raise SizeCapExceeded(f"{count} factorizations exceed the cap {FACTORIZATIONS_CAP}")
     atoms = s.atoms
     out: list[Factorization] = []
 

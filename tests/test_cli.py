@@ -184,6 +184,17 @@ def test_length_dp_caps_exit_before_allocating(capsys):
     assert json.loads(out)["kind"] == "input"
 
 
+def test_factorization_listing_cap_exits_before_listing(capsys):
+    # 1,613,645 factorizations of 2000 in <4, 5, 6, 7>, counted and refused
+    for argv in (
+        ["factor", "factorizations", "--gens", "4,5,6,7", "--element", "2000"],
+        ["factor", "factorizations", "--gens", "3,5,7", "--element", "400000"],
+    ):
+        code, out = _run(capsys, argv)
+        assert code == 3, argv
+        assert json.loads(out)["kind"] == "cap"
+
+
 def test_block_sweep_cap_exits_at_once(capsys):
     # C(|G| + cap, cap) multisets of length up to cap would be swept
     for argv in (
@@ -443,8 +454,8 @@ def test_an_unread_flag_leaves_one_cache_record(tmp_path, capsys):
 
 def test_import_loads_every_layer():
     # perfbench/tracing.py Tracer.install reads sys.modules["wktoolkit.<layer>"]
-    # for every layer after importing only wktoolkit.cli; a lazy import of the
-    # layers has to land together with a change to the tracer
+    # for every layer after importing only wktoolkit.cli; the package registers
+    # every layer there, and a layer not yet loaded loads when it is read
     import os
     import subprocess
     import sys
@@ -482,3 +493,64 @@ def test_negative_sweep_caps_are_input_errors(capsys):
     assert _input_error(capsys, ["blocks", "uk", "--group", "3", "--k", "2", "--cap", "-1"])
     code, out = _run(capsys, ["blocks", "delta", "--group", "3", "--cap", "0"])
     assert code == 0 and json.loads(out)["values"] == []
+
+
+def _fresh(script):
+    # run ``script`` in a fresh interpreter and return its last stdout line
+    import os
+    import subprocess
+    import sys
+
+    import wktoolkit
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(wktoolkit.__file__)))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip().splitlines()[-1]
+
+
+# the wktoolkit modules whose code has run: a layer not yet loaded is still
+# the lazy loader's module subclass
+_EXECUTED = (
+    "sorted(n for n, m in sys.modules.items() if n.startswith('wktoolkit.') and type(m) is types.ModuleType)"
+)
+
+
+def test_a_query_runs_only_the_layers_it_touches():
+    script = (
+        "import sys, types; from wktoolkit import cli; cli.run(['numon', 'info', '--gens', '3,5']); "
+        f"print({_EXECUTED})"
+    )
+    assert _fresh(script) == str(["wktoolkit.cli", "wktoolkit.errors", "wktoolkit.numon"])
+
+
+def test_a_malformed_query_runs_no_layer():
+    script = (
+        "import sys, types; from wktoolkit import cli; cli.run(['numon', 'info']); "
+        f"print([{_EXECUTED}, 'dataclasses' in sys.modules, 'hashlib' in sys.modules])"
+    )
+    assert _fresh(script) == str([["wktoolkit.cli", "wktoolkit.errors"], False, False])
+
+
+def test_every_layer_shows_its_public_functions_when_read():
+    # the read Tracer.install makes: vars() of each layer after importing only
+    # the CLI holds every public function the layer holds when imported here
+    import importlib
+    import inspect
+
+    layers = ("cli", "numon", "affine", "factor", "blocks", "groups", "classgrp", "decide", "hilbertian")
+    script = (
+        "import inspect, sys, wktoolkit.cli; "
+        "print({m: sorted(n for n, v in vars(sys.modules['wktoolkit.' + m]).items() "
+        f"if inspect.isfunction(v) and not n.startswith('_')) for m in {layers!r}}})"
+    )
+    expected = {
+        m: sorted(
+            n
+            for n, v in vars(importlib.import_module("wktoolkit." + m)).items()
+            if inspect.isfunction(v) and not n.startswith("_")
+        )
+        for m in layers
+    }
+    assert all(expected.values())
+    assert _fresh(script) == str(expected)

@@ -11,7 +11,9 @@ from wktoolkit.affine import direct_sum
 from wktoolkit.errors import BoundTooSmall, InputError, NotInMonoid, SizeCapExceeded
 from wktoolkit.factor import (
     CELLS_CAP,
+    FACTORIZATIONS_CAP,
     WINDOW_CAP,
+    _factorization_count,
     affine_length_set,
     delta_monoid_bounded,
     delta_of,
@@ -253,6 +255,36 @@ def test_length_dp_caps(monkeypatch):
     assert length_set(from_generators([2, 3]), 7) == (3,)  # 3 * (3 - 3 + 1) bits
     with pytest.raises(SizeCapExceeded):
         length_set(from_generators([2, 3]), 8)  # 3 * (4 - 3 + 1) bits
+
+
+def test_factorization_count_matches_the_listing():
+    rng = random.Random(1995)
+    for _ in range(60):
+        s = random_numerical_monoid(rng)
+        for n in range(s.conductor + 30):
+            if s.contains(n):
+                assert _factorization_count(s, n) == len(factorizations(s, n)), (s.atoms, n)
+
+
+def test_factorization_listing_is_capped_before_it_lists():
+    s = from_generators([3, 5, 7])
+    assert _factorization_count(s, 4576) == 100040 > FACTORIZATIONS_CAP
+    with pytest.raises(SizeCapExceeded):
+        factorizations(s, 4576)
+    with pytest.raises(SizeCapExceeded):  # (n + 1) * len(atoms) count cells
+        factorizations(s, CELLS_CAP // 3)
+    with pytest.raises(NotInMonoid):  # membership is checked before the caps
+        factorizations(from_generators([2, 3]), 1)
+    # just under the cap the listing is the plain lexicographic nested search
+    n = 4575
+    expected = [
+        (x, y, (n - 3 * x - 5 * y) // 7)
+        for x in range(n // 3 + 1)
+        for y in range((n - 3 * x) // 5 + 1)
+        if (n - 3 * x - 5 * y) % 7 == 0
+    ]
+    assert len(expected) == 99997
+    assert [f.exponents for f in factorizations(s, n)] == expected
 
 
 def test_length_masks_hold_only_the_possible_lengths():
