@@ -7,10 +7,11 @@ codes: 0 success, 2 input error, 3 cap exceeded, 4 not-found outcome.
 
 ``ACTIONS`` is the one place that says which action reads which flag: one
 row per ``(subcommand, action)`` names the flags the action requires, the
-flags it accepts, and the function that builds its payload.  The parser is
-built from the table, so a missing flag, a flag the action does not read
-and an integer flag that is not an integer all exit 2 through argparse;
-``wkt SUB ACTION --help`` lists an action's flags.
+flags it accepts, and the function that builds its payload.  The command
+line is read off the row, as ``--flag value`` or ``--flag=value`` (a value
+may start with ``-``), so a missing flag, a flag the action does not read
+and a non-integer value of an integer flag exit 2 with the usage on
+stderr; ``wkt SUB ACTION --help`` prints an action's usage line.
 
 The cache is an append-only file of one JSON record per line, keyed by the
 canonical serialized request plus the package version.  Corrupt lines are
@@ -40,11 +41,10 @@ Input grammars (shared by several subcommands):
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
 import sys
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from . import __version__
@@ -58,12 +58,6 @@ EXIT_NOT_FOUND = 4
 
 CACHE_ENV = "WKT_CACHE_DIR"
 CACHE_FILE = "wkt-cache.jsonl"
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # keep argparse from calling sys.exit directly
-        self.print_usage(sys.stderr)
-        raise InputError(f"{self.prog}: {message}")
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +467,7 @@ class Action(NamedTuple):
 
     required: tuple
     optional: tuple
-    payload: Callable[[argparse.Namespace], dict]
+    payload: Callable[[SimpleNamespace], dict]
 
 
 # flags read as integers; every other flag is text for the grammars above
@@ -578,36 +572,78 @@ def cache_put(cache_dir: str, key: str, payload: dict, exit_code: int) -> None:
 # driver
 
 
-def _add_flag(parser, flag: str, required: bool = False) -> None:
-    parser.add_argument(
-        "--" + flag.replace("_", "-"), dest=flag, required=required, type=int if flag in INT_FLAGS else str
-    )
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
-@functools.cache
-def _build_parser() -> _Parser:
-    """The parser of every ACTIONS row, built once per process: building it
-    costs more than a small query."""
-    parser = _Parser(prog="wkt", description=__doc__)
-    subcommands = parser.add_subparsers(dest="subcommand", required=True)
-    actions_of = {}
-    for (name, action), row in ACTIONS.items():
-        if name not in actions_of:
-            actions_of[name] = subcommands.add_parser(name).add_subparsers(dest="action", required=True)
-        p = actions_of[name].add_parser(action)
-        for flag in row.required:
-            if isinstance(flag, tuple):
-                one_of = p.add_mutually_exclusive_group(required=True)
-                for alternative in flag:
-                    _add_flag(one_of, alternative)
-            else:
-                _add_flag(p, flag, required=True)
-        for flag in row.optional:
-            _add_flag(p, flag)
-        p.add_argument("--cache-dir", dest="cache_dir")
-        p.add_argument("--no-cache", dest="no_cache", action="store_true")
-        p.add_argument("--pretty", action="store_true")
-    return parser
+def _flags(row: Action) -> list[str]:
+    return [f for e in row.required + row.optional + ("cache_dir",) for f in (e if isinstance(e, tuple) else (e,))]
+
+
+def _choices(names: tuple[str, ...]) -> dict:
+    return dict.fromkeys(key[len(names)] for key in ACTIONS if key[: len(names)] == names)
+
+
+def _usage(names: tuple[str, ...]) -> str:
+    """argparse's usage line, unwrapped, for ``wkt`` followed by ``names``."""
+    if len(names) < 2:
+        return " ".join(["usage: wkt", *names, "[-h]", "{" + ",".join(_choices(names)) + "}", "..."])
+    row = ACTIONS[names]
+    shown = {f: f"{_flag(f)} {f.upper()}" for f in _flags(row)}
+    parts = [f"({' | '.join(map(shown.get, e))})" if isinstance(e, tuple) else shown[e] for e in row.required]
+    parts += [f"[{shown[f]}]" for f in row.optional + ("cache_dir",)]
+    return " ".join(["usage: wkt", *names, "[-h]", *parts, "[--no-cache]", "[--pretty]"])
+
+
+def _read_args(argv: list[str]) -> SimpleNamespace | None:
+    """What ``argv`` says: ``subcommand``, ``action``, ``no_cache``, ``pretty``
+    and every flag of the ACTIONS row (None when absent), or None when
+    ``--help`` printed the usage.  A refusal prints the usage of the longest
+    known prefix on stderr and raises ``InputError``."""
+    names: tuple[str, ...] = ()
+    seen: dict = {"no_cache": False, "pretty": False}
+
+    def refuse(message: str):
+        print(_usage(names), file=sys.stderr)
+        raise InputError(" ".join(["wkt", *names]) + ": " + message)
+
+    words = iter(argv)
+    for word in words:
+        if word in ("-h", "--help"):
+            print(_usage(names) + ("" if names or not __doc__ else "\n\n" + __doc__))
+            return None
+        if len(names) < 2:
+            if word not in _choices(names):
+                refuse(f"argument {('subcommand', 'action')[len(names)]}: invalid choice: {word!r}")
+            names += (word,)
+        elif word in ("--no-cache", "--pretty"):
+            seen[word[2:].replace("-", "_")] = True
+        else:
+            name, eq, value = word.partition("=")
+            flag = {_flag(f): f for f in _flags(ACTIONS[names])}.get(name)
+            if flag is None:
+                refuse(f"unrecognized argument {word!r}")
+            if not eq:
+                value = next(words, None)
+                if value is None:
+                    refuse(f"argument {name}: expected one argument")
+            if flag in INT_FLAGS:
+                try:
+                    value = int(value)
+                except ValueError:
+                    refuse(f"argument {name}: invalid int value: {value!r}")
+            seen[flag] = value
+    if len(names) < 2:
+        refuse(f"the following arguments are required: {('subcommand', 'action')[len(names)]}")
+    row = ACTIONS[names]
+    values = {**dict.fromkeys(_flags(row)), **seen}
+    missing = [_flag(e) for e in row.required if not isinstance(e, tuple) and values[e] is None]
+    if missing:
+        refuse("the following arguments are required: " + ", ".join(missing))
+    for entry in row.required:
+        if isinstance(entry, tuple) and sum(values[f] is not None for f in entry) != 1:
+            refuse(f"exactly one of the arguments {' '.join(map(_flag, entry))} is required")
+    return SimpleNamespace(subcommand=names[0], action=names[1], **values)
 
 
 def _emit(payload: dict, pretty: bool) -> None:
@@ -618,13 +654,13 @@ def _emit(payload: dict, pretty: bool) -> None:
     sys.stdout.write(text + "\n")
 
 
-def run(argv: list[str] | None = None) -> int:
+def run(argv: list[str]) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _read_args(argv)
     except InputError as exc:
         _emit({"error": str(exc), "kind": "input"}, False)
         return EXIT_INPUT
-    except SystemExit:  # argparse printed the --help text; errors raise InputError
+    if args is None:  # --help printed the usage
         return EXIT_OK
 
     cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
@@ -673,7 +709,7 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    sys.exit(run(sys.argv[1:]))
 
 
 if __name__ == "__main__":

@@ -9,13 +9,13 @@ all elements up to a bound, with its size capped before it allocates.
 ``delta_union`` and ``uk_union`` read distance sets and U_k off the masks,
 for the block monoids too.
 
-Distance sets and U_k of a whole monoid are genuinely infinite unions, so
+Distance sets and U_k of a whole monoid are unions over every element, so
 the monoid-level operations take an explicit element bound and return a
-``BoundedResult`` flagged as an under-approximation.  The reported
-``atom_gap_gcd`` is the gcd of consecutive atom differences, which equals
-min Δ(S) (Bowles, Chapman, Kaplan & Reiser, *J. Algebra Appl.* 5, 2006).
-Whether a given element bound has already reached it is still the bound's
-question, so the flag stays on.
+``BoundedResult``.  U_k is complete once the bound reaches k * max(atoms),
+since k in L(n) forces n to be at most that; a distance set stays flagged
+as an under-approximation.  Its ``atom_gap_gcd`` is the gcd of consecutive
+atom differences, which equals min Δ(S) (Bowles, Chapman, Kaplan & Reiser,
+*J. Algebra Appl.* 5, 2006), whether or not the bound has reached it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import or_
 from typing import Iterable, Iterator, Sequence
 
@@ -218,11 +218,13 @@ def uk_bounded(s: NumericalMonoid, k: int, bound: int) -> BoundedResult:
     """Union of the length sets containing k, over elements up to ``bound``."""
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
-    # k lies in L(n) only if n <= k * max(atoms)
-    masks = (mask << _least_length(s, n) for n, mask in length_masks(s, bound) if n <= k * s.atoms[-1])
-    return BoundedResult(
-        values=uk_union(masks, k),
-        cap=bound,
-        complete=False,
-        note="union over elements up to the bound only",
-    )
+    # k lies in L(n) only if n <= k * max(atoms), so no mask past that is
+    # read; the size caps are still those of ``bound``
+    top = k * s.atoms[-1]
+    masks = (mask << _least_length(s, n) for n, mask in islice(length_masks(s, bound), top + 1))
+    complete = bound >= top
+    if complete:
+        note = f"complete: k in L(n) forces n <= k * max(atoms) = {top}"
+    else:
+        note = "union over elements up to the bound only"
+    return BoundedResult(values=uk_union(masks, k), cap=bound, complete=complete, note=note)

@@ -431,12 +431,6 @@ class Rank1GroupDescriptor:
             norm.append((p, cap))
         object.__setattr__(self, "exceptions", tuple(norm))
 
-    def cap_of(self, p: int) -> int | float:
-        for q, cap in self.exceptions:
-            if q == p:
-                return cap
-        return 0 if self.symbolic is None else self.symbolic.cap
-
     def finitely_many_divisible_primes(self) -> bool:
         # primes with cap >= 1 form a finite set iff there is no symbolic class
         return self.symbolic is None
@@ -448,9 +442,6 @@ class Rank1GroupDescriptor:
 
     def infinite_cap_primes(self) -> list[int]:
         return [p for p, cap in self.exceptions if cap == INF]
-
-    def is_cyclic(self) -> bool:
-        return self.symbolic is None and not self.infinite_cap_primes()
 
     def to_json(self) -> dict:
         out: dict = {

@@ -1,4 +1,7 @@
+import argparse
+import functools
 import json
+import sys
 
 import pytest
 
@@ -153,7 +156,7 @@ def test_block_lengths_of_a_deep_block_answer(capsys):
 
 
 def test_help_returns_in_process(capsys):
-    # argparse ends --help with SystemExit; run returns 0 instead, so an in-process caller goes on
+    # --help prints the usage and run returns 0, so an in-process caller goes on
     assert cli.run(["numon", "info", "--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: wkt numon info [-h] --gens GENS")
     assert cli.run(["--help"]) == 0
@@ -395,6 +398,61 @@ def _input_error(capsys, argv):
     return code == 2 and json.loads(out)["kind"] == "input"
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # keep argparse from calling sys.exit directly
+        self.print_usage(sys.stderr)
+        raise InputError(f"{self.prog}: {message}")
+
+
+def _add_flag(parser, flag, required=False):
+    parser.add_argument(
+        "--" + flag.replace("_", "-"), dest=flag, required=required, type=int if flag in cli.INT_FLAGS else str
+    )
+
+
+@functools.cache
+def _oracle():
+    """The oracle for ``cli._read_args``: an argparse parser tree built from
+    the same ACTIONS rows, one sub-parser per subcommand and per action."""
+    parser = _Parser(prog="wkt")
+    subcommands = parser.add_subparsers(dest="subcommand", required=True)
+    actions_of = {}
+    for (name, action), row in cli.ACTIONS.items():
+        if name not in actions_of:
+            actions_of[name] = subcommands.add_parser(name).add_subparsers(dest="action", required=True)
+        p = actions_of[name].add_parser(action)
+        for flag in row.required:
+            if isinstance(flag, tuple):
+                one_of = p.add_mutually_exclusive_group(required=True)
+                for alternative in flag:
+                    _add_flag(one_of, alternative)
+            else:
+                _add_flag(p, flag, required=True)
+        for flag in row.optional:
+            _add_flag(p, flag)
+        p.add_argument("--cache-dir", dest="cache_dir")
+        p.add_argument("--no-cache", dest="no_cache", action="store_true")
+        p.add_argument("--pretty", action="store_true")
+    return parser
+
+
+def _both(argv):
+    """What the reader and the argparse oracle read from ``argv``: the
+    fields of each namespace, or None where it refuses."""
+    read = []
+    for parse in (cli._read_args, _oracle().parse_args):
+        try:
+            read.append(vars(parse(argv)))
+        except InputError:
+            read.append(None)
+    return read
+
+
+def _refused(capsys, argv):
+    # an input error from run, and a refusal by the reader and by the oracle
+    return _input_error(capsys, argv) and _both(argv) == [None, None]
+
+
 def test_action_table_drives_the_parser(capsys):
     every_flag = {flag for row in cli.ACTIONS.values() for flag in _flags(row.required + row.optional)}
     assert every_flag == set(_FLAG_VALUES)
@@ -402,21 +460,22 @@ def test_action_table_drives_the_parser(capsys):
     for row, action in cli.ACTIONS.items():
         # the first alternative stands for a one-of requirement
         required = [entry[0] if isinstance(entry, tuple) else entry for entry in action.required]
-        args = cli._build_parser().parse_args(_argv(row, required))
+        args = cli._read_args(_argv(row, required))
         assert (args.subcommand, args.action) == row
         for flag in required:
             assert isinstance(getattr(args, flag), int) == (flag in cli.INT_FLAGS)
+        assert _both(_argv(row, required)) == [vars(args)] * 2
         for i, entry in enumerate(action.required):
             missing = [f for j, f in enumerate(required) if j != i]
-            assert _input_error(capsys, _argv(row, missing)), (row, entry)
+            assert _refused(capsys, _argv(row, missing)), (row, entry)
             if isinstance(entry, tuple):  # exactly one of the alternatives
-                assert _input_error(capsys, _argv(row, missing + list(entry))), row
+                assert _refused(capsys, _argv(row, missing + list(entry))), row
         for flag in sorted(every_flag - set(_flags(action.required + action.optional))):
-            assert _input_error(capsys, _argv(row, required + [flag])), (row, flag)
+            assert _refused(capsys, _argv(row, required + [flag])), (row, flag)
         for flag in sorted(set(required) & cli.INT_FLAGS):
             argv = _argv(row, required)
             argv[argv.index("--" + flag.replace("_", "-")) + 1] = "x"
-            assert _input_error(capsys, argv), (row, flag)
+            assert _refused(capsys, argv), (row, flag)
 
 
 def test_every_pool_argv_parses():
@@ -424,14 +483,15 @@ def test_every_pool_argv_parses():
     import pathlib
 
     pool = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "pool.json"
-    parser = cli._build_parser()
     parsed, refused = 0, 0
     for queries in json.loads(pool.read_text())["classes"].values():
         for query in queries:
             if "argv" not in query:
                 continue
+            read, oracle = _both(query["argv"])
+            assert read == oracle, query["argv"]
             try:
-                args = parser.parse_args(query["argv"])
+                args = cli._read_args(query["argv"])
             except InputError:
                 # only questions whose reference is already an input error
                 assert query["ref"] == {"exit": 2, "kind": "input"}, query["argv"]
@@ -440,6 +500,63 @@ def test_every_pool_argv_parses():
             assert (args.subcommand, args.action) in cli.ACTIONS
             parsed += 1
     assert (parsed, refused) == (597, 2)  # the two refused lack the required --element
+
+
+def test_the_reader_reads_what_argparse_reads():
+    info = ["numon", "info", "--gens", "3,5"]
+    for argv in (
+        info + ["--gens", "2,3"],  # a repeated flag keeps its last value
+        info + ["--pretty", "--no-cache", "--cache-dir", "c"],
+        ["numon", "info", "--cache-dir=c", "--gens=3,5"],
+        ["numon", "info", "--gens="],
+        ["classgroup", "direct-sum", "--p", "2", "--gens", "2,3", "--p", "3"],
+        ["hilbertian", "find", "--p", "2", "--prefix", "1", "--max-degree", " 3"],
+    ):
+        read, oracle = _both(argv)
+        assert read == oracle and read is not None, argv
+    for argv in (
+        [],
+        ["numon"],
+        ["nomon", "info"],
+        ["numon", "infos", "--gens", "3,5"],
+        info + ["extra"],
+        info + ["--gens"],
+        info + ["--pretty=1"],
+        ["hilbertian", "find", "--p", "2", "--prefix", "1", "--max_degree", "3"],
+        ["hilbertian", "find", "--p", "2", "--prefix", "1", "--max-degree", "3.0"],
+    ):
+        assert _both(argv) == [None, None], argv
+
+
+def test_the_reader_departs_from_argparse_where_listed(capsys):
+    # a flag is named in full: argparse also took a prefix such as --gen
+    assert _oracle().parse_args(["numon", "info", "--gen", "3,5"]).gens == "3,5"
+    assert _input_error(capsys, ["numon", "info", "--gen", "3,5"])
+    # a value may start with "-"; argparse expected one argument there
+    code, out = _run(capsys, ["groups", "snf", "--matrix", "-1,2;3,4"])
+    assert code == 0 and json.loads(out)["invariant_factors"] == [10]
+    code, out = _run(capsys, ["numon", "info", "--gens", "-3,5"])
+    assert code == 2 and json.loads(out) == {"error": "generator -3 is not positive", "kind": "input"}
+    # the one-of message, for neither and for both
+    for extra in ([], ["--p", "2", "--domain", "q"]):
+        code, out = _run(capsys, ["classgroup", "direct-sum", "--gens", "2,3"] + extra)
+        assert json.loads(out)["error"] == (
+            "wkt classgroup direct-sum: exactly one of the arguments --domain --p is required"
+        )
+    # unknown words, and the usage of the longest known prefix on one line of stderr
+    assert cli.run(["numon", "infos"]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"] == "wkt numon: argument action: invalid choice: 'infos'"
+    assert err == "usage: wkt numon [-h] {info,apery} ...\n"
+    assert cli.run(["numon", "info", "--gens", "3,5", "--bound", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"] == "wkt numon info: unrecognized argument '--bound'"
+    assert err == "usage: wkt numon info [-h] --gens GENS [--cache-dir CACHE_DIR] [--no-cache] [--pretty]\n"
+    assert cli.run(["classgroup", "direct-sum", "-h"]) == 0
+    assert capsys.readouterr().out == (
+        "usage: wkt classgroup direct-sum [-h] --gens GENS (--domain DOMAIN | --p P)"
+        " [--cache-dir CACHE_DIR] [--no-cache] [--pretty]\n"
+    )
 
 
 def test_an_unread_flag_leaves_one_cache_record(tmp_path, capsys):
@@ -519,17 +636,17 @@ _EXECUTED = (
 def test_a_query_runs_only_the_layers_it_touches():
     script = (
         "import sys, types; from wktoolkit import cli; cli.run(['numon', 'info', '--gens', '3,5']); "
-        f"print({_EXECUTED})"
+        f"print([{_EXECUTED}, 'argparse' in sys.modules, 'gettext' in sys.modules])"
     )
-    assert _fresh(script) == str(["wktoolkit.cli", "wktoolkit.errors", "wktoolkit.numon"])
+    assert _fresh(script) == str([["wktoolkit.cli", "wktoolkit.errors", "wktoolkit.numon"], False, False])
 
 
 def test_a_malformed_query_runs_no_layer():
     script = (
         "import sys, types; from wktoolkit import cli; cli.run(['numon', 'info']); "
-        f"print([{_EXECUTED}, 'dataclasses' in sys.modules, 'hashlib' in sys.modules])"
+        f"print([{_EXECUTED}, [m in sys.modules for m in ('dataclasses', 'hashlib', 'argparse', 'gettext')]])"
     )
-    assert _fresh(script) == str([["wktoolkit.cli", "wktoolkit.errors"], False, False])
+    assert _fresh(script) == str([["wktoolkit.cli", "wktoolkit.errors"], [False] * 4])
 
 
 def test_every_layer_shows_its_public_functions_when_read():

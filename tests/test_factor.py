@@ -202,6 +202,26 @@ def test_bounded_unions_match_per_element_oracle():
             assert uk_bounded(s, k, bound).values == tuple(sorted(union)), (s.atoms, k)
 
 
+def test_uk_is_complete_from_k_times_the_largest_atom():
+    # k in L(n) forces n <= k * max(atoms), so no larger bound adds a length
+    rng = random.Random(2015)
+    for _ in range(60):
+        s = random_numerical_monoid(rng)
+        k = rng.randint(1, 6)
+        top = k * s.atoms[-1]
+        bound = top + rng.randint(0, 40)
+        at_top, at_bound, at_twice = (uk_bounded(s, k, b) for b in (top, bound, 2 * bound))
+        assert at_top.values == at_bound.values == at_twice.values, (s.atoms, k)
+        assert at_top.complete and at_bound.complete and at_twice.complete
+        assert uk_bounded(s, k, top - 1).complete is False
+    assert uk_bounded(from_generators([2, 3]), 2, 6).to_json() == {
+        "values": [2, 3],
+        "cap": 6,
+        "complete": True,
+        "note": "complete: k in L(n) forces n <= k * max(atoms) = 6",
+    }
+
+
 def test_affine_length_set_matches_brute_force_on_larger_elements():
     rng = random.Random(61)
     for _ in range(60):
