@@ -8,15 +8,13 @@ exercised and verified in the factorization module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import EmptyList, InputError
 from .numon import NumericalMonoid, is_seminormal
 
 
-@dataclass(frozen=True)
-class AffineSumMonoid:
+class AffineSumMonoid(NamedTuple):
     components: tuple[NumericalMonoid, ...]
 
     @property

@@ -34,14 +34,15 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CapExceeded, GroupTooLarge, InputError, NotZeroSum
 from .factor import BoundedResult, delta_union, lengths_of, uk_union
 from .groups import FiniteAbelianGroup
-from .numon import NumericalMonoid
+
+if TYPE_CHECKING:
+    from .numon import NumericalMonoid
 
 GROUP_CAP = 64
 SWEEP_CAP = 10**6
@@ -49,8 +50,7 @@ SWEEP_CAP = 10**6
 Element = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     """Zero-sum multiset over a finite abelian group, in canonical sorted form."""
 
     group: FiniteAbelianGroup
@@ -315,8 +315,7 @@ def uk_block_monoid(group: FiniteAbelianGroup, k: int, length_cap: int) -> Bound
 # T-blocks
 
 
-@dataclass(frozen=True)
-class TBlockSpec:
+class TBlockSpec(NamedTuple):
     """Ambient data of a T-block monoid: group, support g0, and components
     (D_i, g_i) defining iota(t) = sum(t_i * g_i)."""
 
@@ -343,8 +342,7 @@ class TBlockSpec:
         return total
 
 
-@dataclass(frozen=True)
-class TBlockElement:
+class TBlockElement(NamedTuple):
     """A multiset over g0 paired with a vector t, t_i in D_i."""
 
     elements: tuple[Element, ...]
@@ -407,8 +405,7 @@ def _tblock_atoms(spec: TBlockSpec, count_vectors: Iterable, n_vectors: int, max
     return pack, remainder, atoms
 
 
-@dataclass(frozen=True)
-class TBlockAtomsResult:
+class TBlockAtomsResult(NamedTuple):
     atoms: tuple[TBlockElement, ...]
     block_cap: int
     t_caps: tuple[int, ...]
@@ -433,8 +430,7 @@ def tblock_atoms_bounded(spec: TBlockSpec, block_cap: int, t_caps: Sequence[int]
     return TBlockAtomsResult(tuple(atoms), block_cap, tuple(int(c) for c in t_caps))
 
 
-@dataclass(frozen=True)
-class TBlockLengthResult:
+class TBlockLengthResult(NamedTuple):
     values: tuple[int, ...]
     complete: bool = True
     note: str = "exact: atoms in any factorization divide the element itself"

@@ -19,8 +19,8 @@ result says which rule supplied it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from collections import namedtuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import EmptyList, InputError, SizeCapExceeded
 from .groups import (
@@ -42,8 +42,7 @@ RULE_FUNCTION_FIELD = (
 )
 
 
-@dataclass(frozen=True)
-class TruncatedUnitGroup:
+class TruncatedUnitGroup(NamedTuple):
     """Units 1 + a_1 X + ... + a_{c-1} X^{c-1} modulo X^c over F_p.
 
     Elements are the coefficient tuples (a_1, ..., a_{c-1}); the constant
@@ -66,13 +65,14 @@ class TruncatedUnitGroup:
         return list(itertools.product(range(self.p), repeat=self.c - 1))
 
     def op(self, u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
+        p, c = self.p, self.c  # read once: a field read is a descriptor call
         a = (1,) + tuple(u)
         b = (1,) + tuple(v)
-        res = [0] * self.c
+        res = [0] * c
         for i, ai in enumerate(a):
             if ai:
-                for j in range(self.c - i):
-                    res[i + j] = (res[i + j] + ai * b[j]) % self.p
+                for j in range(c - i):
+                    res[i + j] = (res[i + j] + ai * b[j]) % p
         return tuple(res[1:])
 
     def unit_with_term(self, alpha: int, s: int) -> tuple[int, ...]:
@@ -100,26 +100,29 @@ def truncated_unit_group(p: int, c: int) -> TruncatedUnitGroup:
     return TruncatedUnitGroup(p, c)
 
 
-@dataclass(frozen=True)
-class ClassGroupResult:
+class ClassGroupResult(namedtuple("ClassGroupResult", "group infinite method citation generators")):
     """Either a verified finite group or the symbol INFINITE with the rule
     that justifies it."""
 
-    group: FiniteAbelianGroup | None
-    infinite: bool
-    method: str
-    citation: str | None = None
-    generators: tuple[str, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.infinite:
-            if self.group is not None:
+    def __new__(
+        cls,
+        group: FiniteAbelianGroup | None,
+        infinite: bool,
+        method: str,
+        citation: str | None = None,
+        generators: tuple[str, ...] = (),
+    ):
+        if infinite:
+            if group is not None:
                 raise InputError("infinite results carry no computed group")
-            if not self.citation:
+            if not citation:
                 raise InputError("infinite results need a citation rule")
         else:
-            if self.group is None:
+            if group is None:
                 raise InputError("finite results need a computed group")
+        return super().__new__(cls, group, infinite, method, citation, generators)
 
     @property
     def order(self) -> int | None:
@@ -208,17 +211,15 @@ def cv_numerical_ring(p: int, s: NumericalMonoid) -> ClassGroupResult:
     )
 
 
-@dataclass(frozen=True)
-class BaseField:
+class BaseField(namedtuple("BaseField", "prime infinite pseudo_hilbertian")):
     """The facts about a base field that the symbolic formulas consume."""
 
-    prime: int | None = None
-    infinite: bool | None = None
-    pseudo_hilbertian: bool | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.prime is not None and not is_prime(self.prime):
-            raise InputError(f"{self.prime} is not prime")
+    def __new__(cls, prime: int | None = None, infinite: bool | None = None, pseudo_hilbertian: bool | None = None):
+        if prime is not None and not is_prime(prime):
+            raise InputError(f"{prime} is not prime")
+        return super().__new__(cls, prime, infinite, pseudo_hilbertian)
 
     @staticmethod
     def prime_field(p: int) -> "BaseField":
@@ -230,16 +231,14 @@ class BaseField:
         return BaseField(infinite=True, pseudo_hilbertian=True)
 
 
-@dataclass(frozen=True)
-class SymbolicComponent:
+class SymbolicComponent(NamedTuple):
     """A summand S_i together with the base field it should be read over."""
 
     monoid: NumericalMonoid
     base: BaseField
 
 
-@dataclass(frozen=True)
-class DirectSumClassGroup:
+class DirectSumClassGroup(NamedTuple):
     """Formal direct sum of component class groups."""
 
     components: tuple[ClassGroupResult, ...]

@@ -380,15 +380,13 @@ def _classgroup_direct_sum(args) -> dict:
 
 
 def _decide(args, question) -> dict:
-    import dataclasses
-
     d = parse_domain(args.domain)
     if args.char is not None:
         if args.char != 0 and not groups.is_prime(args.char):
             raise InputError(f"--char must be 0 or prime, got {args.char}")
         if d.characteristic is not None and d.characteristic != args.char:
             raise InputError(f"--char {args.char} contradicts the domain's characteristic {d.characteristic}")
-        d = dataclasses.replace(d, characteristic=args.char)
+        d = d._replace(characteristic=args.char)
     m = parse_monoid(args.monoid)
     return {
         "input": {"domain": args.domain, "monoid": args.monoid, "question": args.action},
@@ -516,14 +514,12 @@ def _cache_path(cache_dir: str) -> str:
 
 
 def request_key(subcommand: str, args_dict: dict) -> str:
-    import hashlib
-
-    canon = json.dumps(
+    """The request's canonical JSON text: equal requests give equal keys."""
+    return json.dumps(
         {"op": subcommand, "input": args_dict, "version": __version__},
         sort_keys=True,
         separators=(",", ":"),
     )
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
 def cache_get(cache_dir: str, key: str) -> dict | None:

@@ -30,14 +30,15 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field as dc_field
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import groups as grp
-from .affine import AffineSumMonoid
 from .errors import InputError
 from .groups import TorsionFreeGroupDescriptor, TypeWitness, is_prime
 from .numon import NumericalMonoid, from_generators, is_valuation
+
+if TYPE_CHECKING:
+    from .affine import AffineSumMonoid
 
 
 class Flag(enum.Enum):
@@ -74,8 +75,7 @@ def _parse_flag(value) -> Flag:
     raise InputError(f"cannot read flag value {value!r}")
 
 
-@dataclass(frozen=True)
-class CertStep:
+class CertStep(NamedTuple):
     """One rule application: name, human statement, inputs used, outcome."""
 
     rule: str
@@ -92,10 +92,9 @@ class CertStep:
         }
 
 
-@dataclass
-class Verdict:
+class Verdict(NamedTuple):
     answer: bool | None
-    certificate: list[CertStep] = dc_field(default_factory=list)
+    certificate: tuple[CertStep, ...] = ()
 
     def to_json(self) -> dict:
         return {
@@ -119,8 +118,7 @@ _DOMAIN_FLAGS = (
 )
 
 
-@dataclass(frozen=True)
-class DomainDescriptor:
+class DomainDescriptor(NamedTuple):
     kind: str
     name: str
     characteristic: int | None
@@ -280,8 +278,7 @@ def custom_domain(characteristic: int | None = None, name: str = "custom domain"
 _MONOID_FLAGS = ("weakly_krull", "umt", "gcd", "weakly_factorial", "generalized_krull")
 
 
-@dataclass(frozen=True)
-class MonoidDescriptor:
+class MonoidDescriptor(NamedTuple):
     kind: str
     name: str
     group: TorsionFreeGroupDescriptor
@@ -530,7 +527,7 @@ def _decide(question: str, d: DomainDescriptor, m: MonoidDescriptor) -> Verdict:
     )
     truths = [Flag(s.outcome.split()[0]).truth for s in steps]
     answer = False if False in truths else None if None in truths else True
-    return Verdict(answer=answer, certificate=steps)
+    return Verdict(answer=answer, certificate=tuple(steps))
 
 
 def kg_weakly_krull(characteristic: int, group: TorsionFreeGroupDescriptor) -> Verdict:

@@ -21,23 +21,23 @@ atom differences, which equals min Δ(S) (Bowles, Chapman, Kaplan & Reiser,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, islice
+from itertools import accumulate
 from operator import or_
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
-from .affine import AffineSumMonoid
 from .errors import BoundTooSmall, InputError, NotInMonoid, SizeCapExceeded
-from .numon import NumericalMonoid
+
+if TYPE_CHECKING:
+    from .affine import AffineSumMonoid
+    from .numon import NumericalMonoid
 
 CELLS_CAP = 10**6
 WINDOW_CAP = 10**8
 FACTORIZATIONS_CAP = 10**5
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Exponent vector over the atom tuple of the ambient monoid."""
 
     exponents: tuple[int, ...]
@@ -50,8 +50,7 @@ class Factorization:
         return sum(x * a for x, a in zip(self.exponents, atoms))
 
 
-@dataclass(frozen=True)
-class BoundedResult:
+class BoundedResult(NamedTuple):
     """A set-valued result computed only up to a stated cap."""
 
     values: tuple[int, ...]
@@ -218,10 +217,12 @@ def uk_bounded(s: NumericalMonoid, k: int, bound: int) -> BoundedResult:
     """Union of the length sets containing k, over elements up to ``bound``."""
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
+    if bound < 0:
+        raise InputError(f"bound must be >= 0, got {bound}")
     # k lies in L(n) only if n <= k * max(atoms), so no mask past that is
-    # read; the size caps are still those of ``bound``
+    # computed, and the size caps apply to the elements actually swept
     top = k * s.atoms[-1]
-    masks = (mask << _least_length(s, n) for n, mask in islice(length_masks(s, bound), top + 1))
+    masks = (mask << _least_length(s, n) for n, mask in length_masks(s, min(bound, top)))
     complete = bound >= top
     if complete:
         note = f"complete: k in L(n) forces n <= k * max(atoms) = {top}"

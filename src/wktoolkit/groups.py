@@ -32,8 +32,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from collections import namedtuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CarrierNotClosed, InputError, SizeCapExceeded
 
@@ -64,8 +64,7 @@ def is_prime(n: int) -> bool:
 # concrete finite abelian groups
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(namedtuple("FiniteAbelianGroup", "invariant_factors")):
     """Finite abelian group in invariant-factor form.
 
     ``invariant_factors`` is an ascending divisibility chain d1 | d2 | ...
@@ -73,17 +72,17 @@ class FiniteAbelianGroup:
     are tuples of the same length, component i reduced mod d_i.
     """
 
-    invariant_factors: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        facs = tuple(int(d) for d in self.invariant_factors)
-        object.__setattr__(self, "invariant_factors", facs)
+    def __new__(cls, invariant_factors: tuple[int, ...]):
+        facs = tuple(int(d) for d in invariant_factors)
         for d in facs:
             if d < 2:
                 raise InputError(f"invariant factor {d} < 2")
         for a, b in zip(facs, facs[1:]):
             if b % a:
                 raise InputError(f"invariant factors {a}, {b} break the divisibility chain")
+        return super().__new__(cls, facs)
 
     @property
     def order(self) -> int:
@@ -152,8 +151,7 @@ def combine_invariant_factors(*factor_lists: Sequence[int]) -> tuple[int, ...]:
 # Smith normal form
 
 
-@dataclass(frozen=True)
-class SmithResult:
+class SmithResult(NamedTuple):
     invariant_factors: tuple[int, ...]
     free_rank: int
 
@@ -385,8 +383,7 @@ def _invariant_factors_from_orders(orders: list[int]) -> tuple[int, ...]:
 # torsion-free descriptors
 
 
-@dataclass(frozen=True)
-class SymbolicPrimeClass:
+class SymbolicPrimeClass(namedtuple("SymbolicPrimeClass", "cap complement_infinite")):
     """An infinite class of primes sharing one cap.
 
     ``complement_infinite`` records whether infinitely many primes lie
@@ -394,18 +391,17 @@ class SymbolicPrimeClass:
     cap 0).  Only these cardinality facts enter the type checks.
     """
 
-    cap: int | float
-    complement_infinite: bool = True
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.cap != INF:
-            object.__setattr__(self, "cap", int(self.cap))
-            if self.cap < 1:
+    def __new__(cls, cap: int | float, complement_infinite: bool = True):
+        if cap != INF:
+            cap = int(cap)
+            if cap < 1:
                 raise InputError("symbolic prime class needs cap >= 1")
+        return super().__new__(cls, cap, complement_infinite)
 
 
-@dataclass(frozen=True)
-class Rank1GroupDescriptor:
+class Rank1GroupDescriptor(namedtuple("Rank1GroupDescriptor", "exceptions symbolic")):
     """A rank-one subgroup of the rationals, up to isomorphism.
 
     ``exceptions`` maps finitely many primes to caps (0, positive, or
@@ -413,12 +409,13 @@ class Rank1GroupDescriptor:
     None, else membership in the symbolic class.
     """
 
-    exceptions: tuple[tuple[int, int | float], ...] = ()
-    symbolic: SymbolicPrimeClass | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(
+        cls, exceptions: tuple[tuple[int, int | float], ...] = (), symbolic: SymbolicPrimeClass | None = None
+    ):
         norm = []
-        for p, cap in sorted(self.exceptions):
+        for p, cap in sorted(exceptions):
             p = int(p)
             if not is_prime(p):
                 raise InputError(f"exception key {p} is not prime")
@@ -429,7 +426,7 @@ class Rank1GroupDescriptor:
                 if cap < 0:
                     raise InputError("caps must be >= 0")
             norm.append((p, cap))
-        object.__setattr__(self, "exceptions", tuple(norm))
+        return super().__new__(cls, tuple(norm), symbolic)
 
     def finitely_many_divisible_primes(self) -> bool:
         # primes with cap >= 1 form a finite set iff there is no symbolic class
@@ -455,18 +452,17 @@ class Rank1GroupDescriptor:
         return out
 
 
-@dataclass(frozen=True)
-class TorsionFreeGroupDescriptor:
+class TorsionFreeGroupDescriptor(namedtuple("TorsionFreeGroupDescriptor", "components")):
     """Finite direct sum of rank-one descriptors; the integers are
     ``Rank1GroupDescriptor()`` and ZZ^n is n copies of it."""
 
-    components: tuple[Rank1GroupDescriptor, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        comps = tuple(self.components)
+    def __new__(cls, components: tuple[Rank1GroupDescriptor, ...]):
+        comps = tuple(components)
         if not comps:
             raise InputError("descriptor needs at least one component (group must be nonzero)")
-        object.__setattr__(self, "components", comps)
+        return super().__new__(cls, comps)
 
     @property
     def rank(self) -> int:
@@ -504,8 +500,7 @@ def prime_power_union(p: int, cap: int | float = INF) -> TorsionFreeGroupDescrip
     return TorsionFreeGroupDescriptor((Rank1GroupDescriptor(((p, cap),)),))
 
 
-@dataclass(frozen=True)
-class TypeWitness:
+class TypeWitness(NamedTuple):
     """Why a type check failed: the offending component plus a chain scheme."""
 
     component: int

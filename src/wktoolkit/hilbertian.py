@@ -18,7 +18,7 @@ is trivial for every prime q dividing n.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     ConstantPolynomial,
@@ -31,22 +31,20 @@ from .groups import _factorint, is_prime
 Coeffs = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PrimePolynomial:
-    p: int
-    coefficients: Coeffs
+class PrimePolynomial(namedtuple("PrimePolynomial", "p coefficients")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise InputError(f"{self.p} is not prime")
-        cs = tuple(int(c) for c in self.coefficients)
+    def __new__(cls, p: int, coefficients: Coeffs):
+        if not is_prime(p):
+            raise InputError(f"{p} is not prime")
+        cs = tuple(int(c) for c in coefficients)
         if not cs:
             raise InputError("empty coefficient list")
-        if any(c < 0 or c >= self.p for c in cs):
-            raise InputError(f"coefficients must lie in [0, {self.p})")
+        if any(c < 0 or c >= p for c in cs):
+            raise InputError(f"coefficients must lie in [0, {p})")
         if cs[-1] == 0:
             raise InputError("leading coefficient must be nonzero")
-        object.__setattr__(self, "coefficients", cs)
+        return super().__new__(cls, p, cs)
 
     @property
     def degree(self) -> int:

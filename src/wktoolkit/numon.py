@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     EmptyGenerators,
@@ -41,10 +41,14 @@ MULTIPLICITY_CAP = 10**5
 GAPS_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class NumericalMonoid:
-    atoms: tuple[int, ...]
-    apery: tuple[int, ...]
+class NumericalMonoid(namedtuple("NumericalMonoid", "atoms apery")):
+    """``atoms`` ascending; ``apery[r]`` is the least member congruent to r
+    mod the multiplicity."""
+
+    # no __slots__: the cached properties live in the instance __dict__,
+    # and this keeps every attribute, cached or not, from being assigned
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r} of an immutable NumericalMonoid")
 
     @property
     def multiplicity(self) -> int:
@@ -218,8 +222,7 @@ def is_valuation(s: NumericalMonoid) -> bool:
 # fractional ideals
 
 
-@dataclass(frozen=True)
-class MonoidIdeal:
+class MonoidIdeal(NamedTuple):
     """Fractional ideal of a numerical monoid: ``mins[r]`` is its least
     member congruent to r mod the multiplicity m, and the ideal is the union
     of the rays mins[r] + mN.

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from wktoolkit import cli
+from wktoolkit import __version__, cli
 from wktoolkit.errors import InputError
 
 
@@ -173,7 +173,7 @@ def test_length_dp_caps_exit_before_allocating(capsys):
     # (bound + 1) * len(atoms) cells and max(atoms) * (bound // m + 1) window bits
     for argv in (
         ["factor", "delta", "--gens", "2,3", "--bound", "1000000000"],
-        ["factor", "uk", "--gens", "2,3", "--k", "2", "--bound", "1000000000"],
+        ["factor", "uk", "--gens", "2,3", "--k", "1000000000", "--bound", "1000000000"],
         ["factor", "lengths", "--gens", "2,3", "--element", "1000000"],
         ["factor", "lengths", "--gens", "2,200001", "--element", "400002"],
         ["factor", "lengths", "--gens", "2,3;2,3", "--element", "6,1000000"],
@@ -185,6 +185,20 @@ def test_length_dp_caps_exit_before_allocating(capsys):
     code, out = _run(capsys, ["factor", "lengths", "--gens", "2,200001", "--element", "199999"])
     assert code == 2
     assert json.loads(out)["kind"] == "input"
+
+
+def test_uk_sweeps_only_up_to_k_times_the_largest_atom(capsys):
+    # the caps apply to min(bound, k * max(atoms)), the last element that can hold k
+    answer = {"values": [2, 3], "complete": True, "note": "complete: k in L(n) forces n <= k * max(atoms) = 6"}
+    for bound in ("6", "1000000000"):
+        code, out = _run(capsys, ["factor", "uk", "--gens", "2,3", "--k", "2", "--bound", bound])
+        assert code == 0
+        assert {key: json.loads(out)[key] for key in answer} == answer
+    code, out = _run(capsys, ["factor", "uk", "--gens", "2,3", "--k", "99999999999999999999", "--bound", "5"])
+    assert code == 0
+    assert json.loads(out)["values"] == [] and json.loads(out)["complete"] is False
+    code, out = _run(capsys, ["factor", "uk", "--gens", "2,3", "--k", "2", "--bound", "0"])
+    assert code == 0 and json.loads(out)["values"] == []
 
 
 def test_factorization_listing_cap_exits_before_listing(capsys):
@@ -292,6 +306,26 @@ def test_cache_unwritable_directory_warns_but_computes(capsys, monkeypatch):
     )
     assert code == 0
     assert json.loads(out)["atoms"] == [2, 3]
+
+
+def test_a_digest_keyed_cache_line_is_a_silent_miss(tmp_path, capsys):
+    # earlier releases keyed a record by the SHA-256 hex digest of the request
+    # text; such a record matches no key now, so the answer is computed again
+    import hashlib
+
+    argv = ["numon", "info", "--gens", "2,3", "--cache-dir", str(tmp_path)]
+    request = {"action": "info", "gens": "2,3", "subcommand": "numon"}
+    key = cli.request_key("numon", request)
+    assert json.loads(key) == {"input": request, "op": "numon", "version": __version__}
+    digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
+    cache_file = tmp_path / cli.CACHE_FILE
+    cache_file.write_text(json.dumps({"key": digest, "payload": {"stale": True}, "exit_code": 0}) + "\n")
+    assert cli.run(argv) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["atoms"] == [2, 3] and err == ""
+    records = [json.loads(line) for line in cache_file.read_text().splitlines()]
+    assert [r["key"] for r in records] == [digest, key]
+    assert _run(capsys, argv) == (0, out)
 
 
 def test_cache_key_separates_operations():
@@ -608,6 +642,7 @@ def test_repeated_entries_are_input_errors(capsys):
 def test_negative_sweep_caps_are_input_errors(capsys):
     assert _input_error(capsys, ["blocks", "delta", "--group", "3", "--cap", "-1"])
     assert _input_error(capsys, ["blocks", "uk", "--group", "3", "--k", "2", "--cap", "-1"])
+    assert _input_error(capsys, ["factor", "uk", "--gens", "2,3", "--k", "2", "--bound", "-5"])
     code, out = _run(capsys, ["blocks", "delta", "--group", "3", "--cap", "0"])
     assert code == 0 and json.loads(out)["values"] == []
 
@@ -647,6 +682,40 @@ def test_a_malformed_query_runs_no_layer():
         f"print([{_EXECUTED}, [m in sys.modules for m in ('dataclasses', 'hashlib', 'argparse', 'gettext')]])"
     )
     assert _fresh(script) == str([["wktoolkit.cli", "wktoolkit.errors"], [False] * 4])
+
+
+def test_a_blocks_query_runs_only_the_layers_it_touches():
+    # blocks and factor name numon and affine only in annotations
+    script = (
+        "import sys, types; from wktoolkit import cli; "
+        "cli.run(['blocks', 'delta', '--group', '3', '--cap', '5']); "
+        f"print({_EXECUTED})"
+    )
+    assert _fresh(script) == str(
+        ["wktoolkit.blocks", "wktoolkit.cli", "wktoolkit.errors", "wktoolkit.factor", "wktoolkit.groups"]
+    )
+
+
+def test_no_action_loads_dataclasses_inspect_or_hashlib(tmp_path):
+    # one well-formed desk argv of the pool per ACTIONS row, each asked twice
+    # (a cache miss, then a hit) in one fresh interpreter: sys.modules only
+    # grows, so none of these modules loaded for any of the answers
+    import pathlib
+
+    pool = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "pool.json"
+    argvs = {}
+    for name, queries in sorted(json.loads(pool.read_text())["classes"].items()):
+        for query in queries:
+            if name.startswith("d.") and name != "d.malformed" and "argv" in query:
+                argvs.setdefault(tuple(query["argv"][:2]), query["argv"])
+    assert set(argvs) == set(cli.ACTIONS)
+    cache = ["--cache-dir", str(tmp_path)]
+    script = (
+        "import sys; from wktoolkit import cli; "
+        f"codes = [cli.run(argv + {cache!r}) for argv in {list(argvs.values())!r} for _ in range(2)]; "
+        "print([codes[::2] == codes[1::2], [m for m in ('dataclasses', 'inspect', 'hashlib') if m in sys.modules]])"
+    )
+    assert _fresh(script) == str([True, []])
 
 
 def test_every_layer_shows_its_public_functions_when_read():

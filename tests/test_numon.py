@@ -555,3 +555,15 @@ def test_unique_maximal_ideal_is_prime_exhaustive():
             assert m.contains(a)
             for x in s.elements_up_to(s.conductor + 1):
                 assert m.contains(a + x)
+
+
+def test_a_monoid_is_an_immutable_value():
+    # the cached properties need an instance __dict__; no attribute may be assigned
+    s = from_generators([3, 5])
+    assert s.frobenius == 7 and s.gaps == (1, 2, 4, 7)
+    for name in ("atoms", "apery", "frobenius", "gaps", "other"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, 1)
+    assert s.frobenius == 7
+    assert s == from_generators([5, 3]) and hash(s) == hash(from_generators([5, 3]))
+    assert repr(s) == "NumericalMonoid(atoms=(3, 5), apery=(0, 10, 5))"
