@@ -64,6 +64,13 @@ CACHE_FILE = "wkt-cache.jsonl"
 # input grammars
 
 
+def parse_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise InputError(f"cannot read {what} {text!r}") from exc
+
+
 def parse_int_list(text: str) -> list[int]:
     try:
         return [int(tok) for tok in text.split(",") if tok != ""]
@@ -164,7 +171,7 @@ def parse_domain(text: str) -> decide.DomainDescriptor:
     if head == "field" and sep:
         kv = _parse_kv(rest, sep=",")
         char = kv.pop("char", None)
-        char_val = None if char in (None, "none") else int(char)
+        char_val = None if char in (None, "none") else parse_int(char, "characteristic")
         infinite = _parse_bool(kv.pop("infinite")) if "infinite" in kv else None
         ph = _parse_bool(kv.pop("ph")) if "ph" in kv else None
         if kv:
@@ -173,7 +180,7 @@ def parse_domain(text: str) -> decide.DomainDescriptor:
     if head == "custom" and sep:
         kv = _parse_kv(rest, sep=";")
         char = kv.pop("char", None)
-        char_val = None if char in (None, "none") else int(char)
+        char_val = None if char in (None, "none") else parse_int(char, "characteristic")
         return decide.custom_domain(characteristic=char_val, **kv)
     raise InputError(f"cannot read domain {text!r}")
 
@@ -232,7 +239,7 @@ def _numon_info(args) -> dict:
 
 def _numon_apery(args) -> dict:
     s = numon.from_generators(parse_int_list(args.gens))
-    n = int(args.element)
+    n = parse_int(args.element, "element")
     return {
         "input": {"generators": list(s.atoms), "modulus": n},
         "apery": list(numon.apery_set(s, n)),
@@ -259,7 +266,7 @@ def _factor_factorizations(args) -> dict:
     target, is_affine = _factor_target(args)
     if is_affine:
         raise InputError("factorization listing is for numerical monoids; use lengths for sums")
-    n = int(args.element)
+    n = parse_int(args.element, "element")
     facs = factor.factorizations(target, n)
     return {
         "input": {"generators": list(target.atoms), "element": n},
@@ -275,7 +282,7 @@ def _factor_lengths(args) -> dict:
         element = parse_int_list(args.element)
         lengths = factor.affine_length_set(target, element)
     else:
-        element = int(args.element)
+        element = parse_int(args.element, "element")
         lengths = factor.length_set(target, element)
     return {
         "input": {"monoid": target.to_json(), "element": element},

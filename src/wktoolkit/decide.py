@@ -18,7 +18,7 @@ inputs to the outcome (plus the witness, where the certificate records
 one).  Deciding a question evaluates those functions on the inputs it
 records, and ``replay_step`` evaluates the same function on the inputs a
 certificate recorded: monoid rules rebuild the monoids from the recorded
-atoms, group rules re-run the type test on the recorded group, and flag
+components, group rules re-run the type test on the recorded group, and flag
 steps return the recorded flag.
 
 Convention, used in exactly one rule: a field counts as trivially weakly
@@ -55,10 +55,6 @@ class Flag(enum.Enum):
         if self in (Flag.FALSE, Flag.ATTESTED_FALSE):
             return False
         return None
-
-    @property
-    def attested(self) -> bool:
-        return self in (Flag.ATTESTED_TRUE, Flag.ATTESTED_FALSE)
 
 
 def _parse_flag(value) -> Flag:
@@ -113,8 +109,6 @@ _DOMAIN_FLAGS = (
     "gcd",
     "weakly_factorial",
     "generalized_krull",
-    "mori",
-    "conductor_nonzero",
 )
 
 
@@ -128,8 +122,6 @@ class DomainDescriptor(NamedTuple):
     gcd: Flag = Flag.UNKNOWN
     weakly_factorial: Flag = Flag.UNKNOWN
     generalized_krull: Flag = Flag.UNKNOWN
-    mori: Flag = Flag.UNKNOWN
-    conductor_nonzero: Flag = Flag.UNKNOWN
     infinite: Flag = Flag.UNKNOWN
     pseudo_hilbertian: Flag = Flag.UNKNOWN
 
@@ -150,8 +142,6 @@ def integers_z() -> DomainDescriptor:
         gcd=Flag.TRUE,
         weakly_factorial=Flag.TRUE,
         generalized_krull=Flag.TRUE,
-        mori=Flag.TRUE,
-        conductor_nonzero=Flag.TRUE,
         infinite=Flag.TRUE,
         pseudo_hilbertian=Flag.UNKNOWN,
     )
@@ -167,8 +157,6 @@ def _field_flags() -> dict:
         gcd=Flag.TRUE,
         weakly_factorial=Flag.TRUE,
         generalized_krull=Flag.TRUE,
-        mori=Flag.TRUE,
-        conductor_nonzero=Flag.TRUE,
     )
 
 
@@ -219,8 +207,6 @@ def order_in_number_field(name: str = "order in a number field") -> DomainDescri
         gcd=Flag.UNKNOWN,
         weakly_factorial=Flag.UNKNOWN,
         generalized_krull=Flag.UNKNOWN,
-        mori=Flag.TRUE,
-        conductor_nonzero=Flag.ATTESTED_TRUE,
         infinite=Flag.TRUE,
         pseudo_hilbertian=Flag.TRUE,
     )
@@ -282,8 +268,7 @@ class MonoidDescriptor(NamedTuple):
     kind: str
     name: str
     group: TorsionFreeGroupDescriptor
-    numerical: NumericalMonoid | None = None
-    affine: AffineSumMonoid | None = None
+    components: tuple[NumericalMonoid, ...] = ()  # empty for a custom monoid
     weakly_krull: Flag = Flag.UNKNOWN
     umt: Flag = Flag.UNKNOWN
     gcd: Flag = Flag.UNKNOWN
@@ -294,42 +279,36 @@ class MonoidDescriptor(NamedTuple):
         return getattr(self, name)
 
 
-def numerical_monoid_descriptor(s: NumericalMonoid) -> MonoidDescriptor:
-    """All flags derived computationally.
+def _sum_descriptor(components: tuple[NumericalMonoid, ...]) -> MonoidDescriptor:
+    """A finite direct sum of numerical monoids, all flags derived; a
+    numerical monoid is the sum of one.
 
-    A numerical monoid is primary (the nonzero elements are its only
-    nonempty prime), so it is weakly Krull and weakly factorial; its root
-    closure is the full discrete valuation monoid, so it is UMT.  It is a
-    GCD monoid iff it is root closed, i.e. has no gaps, and generalized
-    Krull iff it is a valuation monoid, which also means no gaps.
+    Each component is primary (its nonzero elements are its only nonempty
+    prime) with root closure the full discrete valuation monoid, so the sum
+    is weakly Krull, weakly factorial and UMT.  It is a GCD monoid iff it is
+    root closed, and generalized Krull iff each component is a valuation
+    monoid; both hold iff no component has gaps.
     """
-    free = s.is_free
+    free = Flag.TRUE if all(s.is_free for s in components) else Flag.FALSE
     return MonoidDescriptor(
-        kind="numerical",
-        name=str(s),
-        group=grp.integers(1),
-        numerical=s,
+        kind="affine-sum",
+        name=" (+) ".join(map(str, components)),
+        group=grp.integers(len(components)),
+        components=components,
         weakly_krull=Flag.TRUE,
         umt=Flag.TRUE,
-        gcd=Flag.TRUE if free else Flag.FALSE,
+        gcd=free,
         weakly_factorial=Flag.TRUE,
-        generalized_krull=Flag.TRUE if is_valuation(s) else Flag.FALSE,
+        generalized_krull=free,
     )
+
+
+def numerical_monoid_descriptor(s: NumericalMonoid) -> MonoidDescriptor:
+    return _sum_descriptor((s,))
 
 
 def affine_monoid_descriptor(gamma: AffineSumMonoid) -> MonoidDescriptor:
-    all_free = not gamma.has_proper_component
-    return MonoidDescriptor(
-        kind="affine-sum",
-        name=str(gamma),
-        group=grp.integers(gamma.rank),
-        affine=gamma,
-        weakly_krull=Flag.TRUE,
-        umt=Flag.TRUE,
-        gcd=Flag.TRUE if all_free else Flag.FALSE,
-        weakly_factorial=Flag.TRUE,
-        generalized_krull=Flag.TRUE if all_free else Flag.FALSE,
-    )
+    return _sum_descriptor(gamma.components)
 
 
 def custom_monoid(
@@ -362,10 +341,9 @@ def _type_test(test: Callable[..., tuple[bool, TypeWitness | None]], group: dict
 
 
 def _monoids(inputs: dict) -> list[NumericalMonoid]:
-    """The recorded numerical monoid, or the components of the recorded sum;
-    atoms that generate no numerical monoid raise InputError."""
-    atom_lists = inputs["components"] if "components" in inputs else [inputs["atoms"]]
-    return [from_generators(atoms) for atoms in atom_lists]
+    """The components of the recorded sum; atoms that generate no numerical
+    monoid raise InputError."""
+    return [from_generators(atoms) for atoms in inputs["components"]]
 
 
 def _gcd_iff_root_closed(inputs: dict) -> tuple[str, dict]:
@@ -411,11 +389,6 @@ RULES: dict[str, Rule] = {
     "group-algebra-weakly-krull-criterion": Rule(
         "the divisibility-type test needs the characteristic of the domain",
         lambda i: ("unknown", {}),
-    ),
-    "numerical-monoid-weakly-krull-umt": Rule(
-        "a numerical monoid is primary with root closure the full "
-        "discrete valuation monoid, hence a weakly Krull UMT-monoid",
-        _check_monoids,
     ),
     "affine-sum-weakly-krull-umt": Rule(
         "a finite direct sum of numerical monoids is a weakly Krull "
@@ -463,39 +436,26 @@ def replay_step(step: CertStep) -> str:
 
 class _Question(NamedTuple):
     flags: tuple[str, ...]  # required of the domain and of a custom monoid
-    numerical: tuple[tuple[str, tuple[str, ...]], ...]  # (rule, recorded inputs) per step
-    affine_sum: tuple[tuple[str, tuple[str, ...]], ...]
+    steps: tuple[tuple[str, tuple[str, ...]], ...]  # (rule, recorded inputs) per sum step
 
 
 _MONOID_INPUTS = {
     "monoid": lambda m: m.name,
-    "atoms": lambda m: list(m.numerical.atoms),
-    "gaps": lambda m: list(m.numerical.gaps),
-    "components": lambda m: [list(s.atoms) for s in m.affine.components],
+    "components": lambda m: [list(s.atoms) for s in m.components],
 }
 
 _QUESTIONS = {
-    "group-algebra": _Question((), (), ()),
-    "weakly-krull": _Question(
-        ("weakly_krull", "umt"),
-        (("numerical-monoid-weakly-krull-umt", ("atoms",)),),
-        (("affine-sum-weakly-krull-umt", ("components",)),),
-    ),
+    "group-algebra": _Question((), ()),
+    "weakly-krull": _Question(("weakly_krull", "umt"), (("affine-sum-weakly-krull-umt", ("components",)),)),
     "wfd": _Question(
         ("weakly_factorial", "gcd"),
-        (
-            ("primary-components-weakly-factorial", ("monoid",)),
-            ("monoid-gcd-iff-root-closed", ("monoid", "atoms", "gaps")),
-        ),
         (
             ("primary-components-weakly-factorial", ("monoid",)),
             ("monoid-gcd-iff-root-closed", ("monoid", "components")),
         ),
     ),
     "generalized-krull": _Question(
-        ("generalized_krull",),
-        (("monoid-generalized-krull-iff-valuation", ("monoid", "atoms")),),
-        (("monoid-generalized-krull-iff-valuation", ("monoid", "components")),),
+        ("generalized_krull",), (("monoid-generalized-krull-iff-valuation", ("monoid", "components")),)
     ),
 }
 
@@ -516,8 +476,7 @@ def _decide(question: str, d: DomainDescriptor, m: MonoidDescriptor) -> Verdict:
     if m.kind == "custom":
         steps += [_flag_step("monoid", m.name, n, m.flag(n)) for n in q.flags]
     else:
-        rules = q.numerical if m.kind == "numerical" else q.affine_sum
-        steps += [_step(rule, {k: _MONOID_INPUTS[k](m) for k in keys}) for rule, keys in rules]
+        steps += [_step(rule, {k: _MONOID_INPUTS[k](m) for k in keys}) for rule, keys in q.steps]
     group_rule = {None: "criterion", 0: "char-zero"}.get(d.characteristic, "char-p")
     steps.append(
         _step(

@@ -120,8 +120,11 @@ def test_gap_cap_exits_before_allocating(capsys):
     assert code == 3
     assert json.loads(out)["kind"] == "cap"
     code, out = _run(capsys, ["decide", "wfd", "--domain", "z", "--monoid", "numerical:" + gens])
-    assert code == 3  # the wfd certificate records the gap list
-    assert json.loads(out)["kind"] == "cap"
+    assert code == 0 and len(out) < 2048  # the certificate records atoms, not gaps
+    payload = json.loads(out)
+    assert payload["answer"] is False
+    gcd_step = next(s for s in payload["certificate"] if s["rule"] == "monoid-gcd-iff-root-closed")
+    assert gcd_step["inputs"]["witness_gap"] == 1
     code, out = _run(capsys, ["decide", "weakly-krull", "--domain", "z", "--monoid", "numerical:" + gens])
     assert code == 0
     assert json.loads(out)["answer"] is True
@@ -318,13 +321,18 @@ def test_a_digest_keyed_cache_line_is_a_silent_miss(tmp_path, capsys):
     key = cli.request_key("numon", request)
     assert json.loads(key) == {"input": request, "op": "numon", "version": __version__}
     digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
+    # a record of an earlier release, keyed by the same request under its version
+    old_key = key.replace(f'"version":"{__version__}"', '"version":"0.1.0"')
+    assert old_key != key
     cache_file = tmp_path / cli.CACHE_FILE
-    cache_file.write_text(json.dumps({"key": digest, "payload": {"stale": True}, "exit_code": 0}) + "\n")
+    cache_file.write_text(
+        "".join(json.dumps({"key": k, "payload": {"stale": True}, "exit_code": 0}) + "\n" for k in (digest, old_key))
+    )
     assert cli.run(argv) == 0
     out, err = capsys.readouterr()
     assert json.loads(out)["atoms"] == [2, 3] and err == ""
     records = [json.loads(line) for line in cache_file.read_text().splitlines()]
-    assert [r["key"] for r in records] == [digest, key]
+    assert [r["key"] for r in records] == [digest, old_key, key]
     assert _run(capsys, argv) == (0, out)
 
 
@@ -637,6 +645,26 @@ def test_repeated_entries_are_input_errors(capsys):
     code, out = _run(capsys, decide_argv + ["custom:group=2^inf;weakly_krull=true;umt=true"])
     assert code == 0 and json.loads(out)["answer"] is False
     assert _input_error(capsys, decide_argv + ["custom:group=2^inf,2^0;weakly_krull=true;umt=true"])
+
+
+def test_non_integer_text_is_an_input_error_naming_the_value(capsys):
+    decide_argv = ["decide", "weakly-krull", "--monoid", "numerical:2,3", "--domain"]
+    for argv, message in (
+        (decide_argv + ["field:char=x,infinite=true"], "cannot read characteristic 'x'"),
+        (decide_argv + ["custom:char=x;weakly_krull=true"], "cannot read characteristic 'x'"),
+        (["numon", "apery", "--gens", "2,3", "--element", "x"], "cannot read element 'x'"),
+        (["factor", "factorizations", "--gens", "2,3", "--element", "x"], "cannot read element 'x'"),
+        (["factor", "lengths", "--gens", "2,3", "--element", "x"], "cannot read element 'x'"),
+    ):
+        code, out = _run(capsys, argv)
+        assert code == 2 and json.loads(out) == {"error": message, "kind": "input"}, argv
+
+
+def test_unread_domain_flags_are_unknown(capsys):
+    for flag in ("mori", "conductor_nonzero"):
+        argv = ["decide", "wfd", "--monoid", "numerical:1", "--domain", f"custom:char=0;{flag}=true"]
+        code, out = _run(capsys, argv)
+        assert code == 2 and json.loads(out) == {"error": f"unknown domain flag {flag!r}", "kind": "input"}
 
 
 def test_negative_sweep_caps_are_input_errors(capsys):

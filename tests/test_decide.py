@@ -3,6 +3,7 @@ import random
 import pytest
 
 from wktoolkit.affine import direct_sum
+from wktoolkit.cli import parse_domain
 from wktoolkit.decide import (
     Flag,
     affine_monoid_descriptor,
@@ -37,7 +38,7 @@ def test_decide_weakly_krull_contract_examples():
     m23 = numerical_monoid_descriptor(from_generators([2, 3]))
     v = decide_weakly_krull(z, m23)
     assert v.answer is True
-    assert any(s.rule == "numerical-monoid-weakly-krull-umt" for s in v.certificate)
+    assert any(s.rule == "affine-sum-weakly-krull-umt" for s in v.certificate)
 
     g2 = prime_power_union(2)
     custom = custom_monoid(g2, weakly_krull=True, umt=True)
@@ -186,13 +187,30 @@ def test_replay_recomputes_from_tampered_inputs():
     wfd = decide_wfd(integers_z(), numerical_monoid_descriptor(from_generators([2, 3])))
     gcd_step = next(s for s in wfd.certificate if s.rule == "monoid-gcd-iff-root-closed")
     assert gcd_step.outcome == "false (witness gap 1)"
-    tampered = gcd_step._replace(inputs={**gcd_step.inputs, "atoms": [1]})
+    tampered = gcd_step._replace(inputs={**gcd_step.inputs, "components": [[1]]})
     assert replay_step(tampered) == "true"
 
     wk = decide_weakly_krull(integers_z(), numerical_monoid_descriptor(from_generators([2, 3])))
-    umt_step = next(s for s in wk.certificate if s.rule == "numerical-monoid-weakly-krull-umt")
+    umt_step = next(s for s in wk.certificate if s.rule == "affine-sum-weakly-krull-umt")
     with pytest.raises(InputError):  # gcd 2: no numerical monoid
-        replay_step(umt_step._replace(inputs={"atoms": [2, 4]}))
+        replay_step(umt_step._replace(inputs={"components": [[2, 4]]}))
+
+
+def test_a_numerical_monoid_is_decided_as_the_sum_of_one():
+    domains = [parse_domain(text) for text in ("z", "fp:2", "q", "order", "custom:char=3;weakly_krull=true;umt=false")]
+    monoids = list(enumerate_numerical_monoids(10))
+    assert len(monoids) == 80  # 1, 1, 1, 2, 2, 5, 4, 11, 10, 21, 22 with Frobenius number 0..10
+    for s in monoids:
+        one, summed = numerical_monoid_descriptor(s), affine_monoid_descriptor(direct_sum([s]))
+        assert one == summed
+        for d in domains:
+            for decide in (decide_weakly_krull, decide_wfd, decide_generalized_krull):
+                verdict = decide(d, one)
+                assert verdict == decide(d, summed)
+                for step in verdict.certificate:
+                    assert replay_step(step) == step.outcome, step
+                    if step.rule in ("monoid-gcd-iff-root-closed", "monoid-generalized-krull-iff-valuation"):
+                        assert (step.outcome == "true") == (s.gaps == ())
 
 
 def test_unknown_never_guessed():
