@@ -13,7 +13,7 @@ so a ``wkt`` process pays only for the modules its answer touches.
 import importlib.util
 import sys
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from . import errors
 

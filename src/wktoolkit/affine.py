@@ -3,7 +3,10 @@
 Elements are integer vectors, one coordinate per component, membership
 checked componentwise.  The atoms are exactly the embedded atoms of the
 components, so factorization questions decompose coordinatewise; that is
-exercised and verified in the factorization module.
+exercised and verified in the factorization module.  Structural facts about
+a sum (weakly Krull, UMT, generalized Krull) are the decision engine's:
+``decide.affine_monoid_descriptor`` derives them and ``decide.RULES`` cites
+them.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import EmptyList, InputError
-from .numon import NumericalMonoid, is_seminormal
+from .numon import NumericalMonoid
 
 
 class AffineSumMonoid(NamedTuple):
@@ -20,10 +23,6 @@ class AffineSumMonoid(NamedTuple):
     @property
     def rank(self) -> int:
         return len(self.components)
-
-    @property
-    def has_proper_component(self) -> bool:
-        return any(not s.is_free for s in self.components)
 
     def contains(self, vec: Sequence[int]) -> bool:
         if len(vec) != self.rank:
@@ -55,30 +54,3 @@ def atoms(gamma: AffineSumMonoid) -> list[tuple[int, ...]]:
             vec[i] = a
             out.append(tuple(vec))
     return out
-
-
-def properties_report(gamma: AffineSumMonoid) -> dict:
-    """Structural facts about the sum, with the rules that supply them.
-
-    Weak Krullness and the UMT property hold for every such sum: each
-    component is primary with divisorial maximal ideal, and localizations
-    at the maximal t-ideals have discrete valuation root closures.  The
-    root closure is the free monoid on the rank, hence factorial.
-    """
-    seminormal = all(is_seminormal(s)[0] for s in gamma.components)
-    report = {
-        "rank": gamma.rank,
-        "has_proper_component": gamma.has_proper_component,
-        "weakly_krull": True,
-        "umt": True,
-        "seminormal": seminormal,
-        "root_closure": f"free monoid of rank {gamma.rank}",
-        "root_closure_factorial": True,
-        "generalized_krull": not gamma.has_proper_component,
-        "rules": [
-            "affine-sum-weakly-krull",
-            "weakly-krull-affine-monoid-is-umt",
-            "root-closure-of-sum-is-free",
-        ],
-    }
-    return report

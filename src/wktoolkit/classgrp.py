@@ -13,14 +13,17 @@ component class groups over a rational function field in one variable
 fewer than the number of summands.  Those base fields are infinite and
 pseudo-Hilbertian, so a proper component contributes an infinite class
 group; infinitude is a cited rule here, never a computation, and the
-result says which rule supplied it.
+result says which rule supplied it.  A single summand is read over the
+domain itself, given as the decision engine's ``DomainDescriptor``: its
+flags decide whether that rule applies, and only over a prime field is the
+class group computed.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from .errors import EmptyList, InputError, SizeCapExceeded
 from .groups import (
@@ -30,6 +33,9 @@ from .groups import (
     quotient_structure,
 )
 from .numon import NumericalMonoid
+
+if TYPE_CHECKING:
+    from .decide import DomainDescriptor
 
 SIZE_CAP = 10 ** 6
 
@@ -143,6 +149,14 @@ class ClassGroupResult(namedtuple("ClassGroupResult", "group infinite method cit
         return "INFINITE" if self.infinite else str(self.group)
 
 
+_TRIVIAL = ClassGroupResult(
+    group=FiniteAbelianGroup(()),
+    infinite=False,
+    method="polynomial-ring-trivial-class-group",
+)
+_INFINITE = ClassGroupResult(group=None, infinite=True, method="cited-rule", citation=RULE_PIC_INFINITE)
+
+
 def _closure(op: Callable, seed: Iterable) -> set:
     gens = list(seed)
     out = set(gens)
@@ -166,11 +180,7 @@ def cv_numerical_ring(p: int, s: NumericalMonoid) -> ClassGroupResult:
         raise InputError(f"{p} is not prime")
     c = s.conductor
     if c == 0:
-        return ClassGroupResult(
-            group=FiniteAbelianGroup(()),
-            infinite=False,
-            method="polynomial-ring-trivial-class-group",
-        )
+        return _TRIVIAL
     u = truncated_unit_group(p, c)
     gens = [
         u.unit_with_term(alpha, t)
@@ -211,33 +221,6 @@ def cv_numerical_ring(p: int, s: NumericalMonoid) -> ClassGroupResult:
     )
 
 
-class BaseField(namedtuple("BaseField", "prime infinite pseudo_hilbertian")):
-    """The facts about a base field that the symbolic formulas consume."""
-
-    __slots__ = ()
-
-    def __new__(cls, prime: int | None = None, infinite: bool | None = None, pseudo_hilbertian: bool | None = None):
-        if prime is not None and not is_prime(prime):
-            raise InputError(f"{prime} is not prime")
-        return super().__new__(cls, prime, infinite, pseudo_hilbertian)
-
-    @staticmethod
-    def prime_field(p: int) -> "BaseField":
-        # finite fields are pseudo-Hilbertian
-        return BaseField(prime=p, infinite=False, pseudo_hilbertian=True)
-
-    @staticmethod
-    def infinite_pseudo_hilbertian() -> "BaseField":
-        return BaseField(infinite=True, pseudo_hilbertian=True)
-
-
-class SymbolicComponent(NamedTuple):
-    """A summand S_i together with the base field it should be read over."""
-
-    monoid: NumericalMonoid
-    base: BaseField
-
-
 class DirectSumClassGroup(NamedTuple):
     """Formal direct sum of component class groups."""
 
@@ -271,51 +254,37 @@ class DirectSumClassGroup(NamedTuple):
         return " (+) ".join(str(c) for c in self.components)
 
 
-def _resolve_component(entry, base_override: BaseField | None) -> ClassGroupResult:
-    if isinstance(entry, ClassGroupResult):
-        return entry
-    if not isinstance(entry, SymbolicComponent):
-        raise InputError(f"cannot interpret component {entry!r}")
-    base = base_override if base_override is not None else entry.base
-    s = entry.monoid
-    if s.is_free:
-        return ClassGroupResult(
-            group=FiniteAbelianGroup(()),
-            infinite=False,
-            method="polynomial-ring-trivial-class-group",
-        )
-    if base.infinite and base.pseudo_hilbertian:
-        return ClassGroupResult(
-            group=None,
-            infinite=True,
-            method="cited-rule",
-            citation=RULE_PIC_INFINITE,
-        )
-    if base.prime is not None:
-        return cv_numerical_ring(base.prime, s)
-    raise InputError(
-        "base field underdetermined: need a prime field or an infinite pseudo-Hilbertian field"
-    )
+def cv_direct_sum(
+    monoids: Sequence[NumericalMonoid], domain: DomainDescriptor
+) -> ClassGroupResult | DirectSumClassGroup:
+    """Class group of the semigroup ring of a direct sum of numerical
+    monoids over ``domain``, as a formal sum of component class groups.
 
-
-def cv_direct_sum(entries: Sequence) -> ClassGroupResult | DirectSumClassGroup:
-    """Class group of a direct sum of numerical monoids as a formal sum.
-
-    With one entry the bare component is returned.  With n >= 2 entries
-    every symbolic component is read over a rational function field in
-    n - 1 variables, which is infinite and pseudo-Hilbertian whatever the
-    ground field, so proper components come out INFINITE.
+    With one monoid the bare component is returned: trivial if the monoid
+    is free, INFINITE by the cited rule if the domain is an infinite
+    pseudo-Hilbertian field, computed if it is a prime field, and refused
+    otherwise.  With n >= 2 monoids every component is read over a rational
+    function field in n - 1 variables, which is infinite and
+    pseudo-Hilbertian whatever the domain, so proper components come out
+    INFINITE.
     """
-    items = list(entries)
-    if not items:
+    comps = tuple(monoids)
+    if not comps:
         raise EmptyList("direct sum of no components")
-    n = len(items)
+    n = len(comps)
     if n == 1:
-        return _resolve_component(items[0], None)
-    base = BaseField.infinite_pseudo_hilbertian()
-    resolved = tuple(_resolve_component(e, base) for e in items)
+        s = comps[0]
+        if s.is_free:
+            return _TRIVIAL
+        if all(domain.flag(f).truth for f in ("is_field", "infinite", "pseudo_hilbertian")):
+            return _INFINITE
+        if domain.kind == "prime-field":
+            return cv_numerical_ring(domain.characteristic, s)
+        raise InputError(
+            f"{domain.name} is neither a prime field nor known to be an infinite pseudo-Hilbertian field"
+        )
     variables = "one variable" if n == 2 else f"{n - 1} variables"
     return DirectSumClassGroup(
-        components=resolved,
+        components=tuple(_TRIVIAL if s.is_free else _INFINITE for s in comps),
         note=f"components read over a function field in {variables} ({RULE_FUNCTION_FIELD})",
     )

@@ -27,7 +27,7 @@ Input grammars (shared by several subcommands):
 * group elements:  ``1`` for rank one, ``1:0`` for higher rank; blocks are
   comma-separated elements, e.g. ``--element 1,1,2`` or ``--element 1:0,0:1``
 * torsion-free descriptors:  components joined by ``+``; a component is
-  ``z`` or a comma list of ``prime^cap`` entries (cap an integer or
+  ``z`` or a nonempty comma list of ``prime^cap`` entries (cap an integer or
   ``inf``), optionally including ``sym^cap`` for the symbolic infinite
   class (append ``~fin`` for a finite complement), e.g. ``2^inf`` or
   ``2^inf,sym^3``
@@ -143,6 +143,8 @@ def parse_group_descriptor(text: str) -> groups.TorsionFreeGroupDescriptor:
                 except ValueError as exc:
                     raise InputError(f"descriptor token {tok!r}: {head!r} is not an integer") from exc
                 exceptions.append((prime, _parse_cap(cap_text)))
+        if not exceptions and symbolic is None:
+            raise InputError(f"empty component in descriptor {text!r} (Z is written z)")
         comps.append(groups.Rank1GroupDescriptor(tuple(exceptions), symbolic))
     return groups.TorsionFreeGroupDescriptor(tuple(comps))
 
@@ -233,7 +235,7 @@ def _numon_info(args) -> dict:
         "gaps": list(s.gaps),
         "seminormal": seminormal,
         "seminormal_witness_gap": witness,
-        "valuation": numon.is_valuation(s),
+        "valuation": s.is_free,
     }
 
 
@@ -248,10 +250,22 @@ def _numon_apery(args) -> dict:
 
 def _affine_info(args) -> dict:
     gamma = affine.direct_sum([numon.from_generators(g) for g in parse_components(args.gens)])
+    m = decide.affine_monoid_descriptor(gamma)
     return {
         "input": gamma.to_json(),
         "atoms": [list(a) for a in affine.atoms(gamma)],
-        "properties": affine.properties_report(gamma),
+        "properties": {
+            "rank": gamma.rank,
+            "has_proper_component": not m.generalized_krull.truth,
+            "weakly_krull": m.weakly_krull.truth,
+            "umt": m.umt.truth,
+            "seminormal": all(numon.is_seminormal(s)[0] for s in gamma.components),
+            "root_closure": f"free monoid of rank {gamma.rank}",
+            "root_closure_factorial": True,
+            "generalized_krull": m.generalized_krull.truth,
+            # the decide rules whose replay on the components gives these flags
+            "rules": ["affine-sum-weakly-krull-umt", "monoid-generalized-krull-iff-valuation"],
+        },
     }
 
 
@@ -368,21 +382,13 @@ def _classgroup_numerical(args) -> dict:
 
 def _classgroup_direct_sum(args) -> dict:
     comps = [numon.from_generators(g) for g in parse_components(args.gens)]
-    if args.domain is None:
-        base = classgrp.BaseField.prime_field(args.p)
-    else:
-        d = parse_domain(args.domain)
-        if d.kind == "prime-field":
-            base = classgrp.BaseField.prime_field(d.characteristic)
-        else:
-            base = classgrp.BaseField(prime=None, infinite=d.infinite.truth, pseudo_hilbertian=d.pseudo_hilbertian.truth)
-    result = classgrp.cv_direct_sum([classgrp.SymbolicComponent(s, base) for s in comps])
+    domain = decide.prime_field(args.p) if args.domain is None else parse_domain(args.domain)
     return {
         "input": {
             "components": [s.to_json() for s in comps],
             "domain": args.domain or "fp/function-field default",
         },
-        "class_group": result.to_json(),
+        "class_group": classgrp.cv_direct_sum(comps, domain).to_json(),
     }
 
 

@@ -214,8 +214,9 @@ def root_closure(s: NumericalMonoid) -> tuple[NumericalMonoid, dict[int, int]]:
 
 
 def is_valuation(s: NumericalMonoid) -> bool:
-    """Divisibility is a total order iff s is the full monoid."""
-    return s.atoms == (1,)
+    """Divisibility is a total order iff s is the full monoid, so this is
+    ``s.is_free`` under the name the generalized-Krull rule reads."""
+    return s.is_free
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import itertools
+import json
 import random
 
 import pytest
 
-from wktoolkit.affine import AffineSumMonoid, atoms, direct_sum, properties_report
+from wktoolkit import cli
+from wktoolkit.affine import AffineSumMonoid, atoms, direct_sum
 from wktoolkit.errors import EmptyList, InputError
 from wktoolkit.numon import from_generators
 
@@ -11,9 +13,8 @@ from wktoolkit.numon import from_generators
 def test_direct_sum_contract_examples():
     g = direct_sum([from_generators([2, 3]), from_generators([1])])
     assert g.rank == 2
-    assert g.has_proper_component
     single = direct_sum([from_generators([1])])
-    assert single.rank == 1 and not single.has_proper_component
+    assert single.rank == 1
     both = direct_sum([from_generators([2, 3]), from_generators([3, 5])])
     assert both.contains((2, 3)) and both.contains((0, 0))
     assert not both.contains((1, 3))
@@ -67,19 +68,28 @@ def test_membership_decomposes_componentwise():
         assert g.contains(vec) == all(s.contains(v) for s, v in zip(comps, vec))
 
 
-def test_properties_report():
-    rep = properties_report(direct_sum([from_generators([2, 3]), from_generators([3, 5])]))
+def _properties(capsys, gens):
+    assert cli.run(["affine", "info", "--gens", gens]) == 0
+    return json.loads(capsys.readouterr().out)["properties"]
+
+
+def test_properties_report(capsys):
+    # the flags are the decision engine's, read off affine_monoid_descriptor
+    rep = _properties(capsys, "2,3;3,5")
     assert rep["weakly_krull"] is True
     assert rep["umt"] is True
     assert rep["seminormal"] is False
     assert rep["root_closure_factorial"] is True
     assert rep["generalized_krull"] is False
+    assert rep["has_proper_component"] is True
+    assert rep["rules"] == ["affine-sum-weakly-krull-umt", "monoid-generalized-krull-iff-valuation"]
 
-    rep_free = properties_report(direct_sum([from_generators([1]), from_generators([1])]))
+    rep_free = _properties(capsys, "1;1")
     assert rep_free["seminormal"] is True
     assert rep_free["generalized_krull"] is True
+    assert rep_free["has_proper_component"] is False
 
-    rep_single = properties_report(direct_sum([from_generators([2, 3])]))
+    rep_single = _properties(capsys, "2,3")
     assert rep_single["rank"] == 1
     assert rep_single["weakly_krull"] is True
     assert rep_single["seminormal"] is False

@@ -3,14 +3,13 @@ import itertools
 import pytest
 
 from wktoolkit.classgrp import (
-    BaseField,
     ClassGroupResult,
     DirectSumClassGroup,
-    SymbolicComponent,
     cv_direct_sum,
     cv_numerical_ring,
     truncated_unit_group,
 )
+from wktoolkit.decide import custom_domain, integers_z, order_in_number_field, prime_field, symbolic_field
 from wktoolkit.errors import EmptyList, InputError, SizeCapExceeded
 from wktoolkit.groups import FiniteAbelianGroup
 from wktoolkit.numon import from_generators
@@ -161,26 +160,21 @@ def test_class_group_result_validation():
 
 
 def test_cv_direct_sum_contract_examples():
-    inf_base = BaseField.infinite_pseudo_hilbertian()
-    # one proper component over an infinite pseudo-Hilbertian base
-    single = cv_direct_sum([SymbolicComponent(from_generators([2, 3]), inf_base)])
+    q = symbolic_field(0, infinite=True, pseudo_hilbertian=True, name="Q")
+    # one proper component over an infinite pseudo-Hilbertian field
+    single = cv_direct_sum([from_generators([2, 3])], q)
     assert isinstance(single, ClassGroupResult)
     assert single.infinite and single.citation
 
     # two free components stay trivial
-    free = SymbolicComponent(from_generators([1]), BaseField.prime_field(3))
-    both = cv_direct_sum([free, free])
+    free = from_generators([1])
+    both = cv_direct_sum([free, free], prime_field(3))
     assert isinstance(both, DirectSumClassGroup)
     assert not both.is_infinite
     assert both.combined_finite_group() == FiniteAbelianGroup(())
 
     # proper plus free over a function field: INFINITE (+) trivial
-    mixed = cv_direct_sum(
-        [
-            SymbolicComponent(from_generators([2, 3]), inf_base),
-            SymbolicComponent(from_generators([1]), inf_base),
-        ]
-    )
+    mixed = cv_direct_sum([from_generators([2, 3]), free], q)
     assert mixed.is_infinite
     assert [c.infinite for c in mixed.components] == [True, False]
     assert str(mixed) == "INFINITE (+) trivial"
@@ -189,22 +183,34 @@ def test_cv_direct_sum_contract_examples():
 def test_cv_direct_sum_marks_infinite_even_over_finite_ground_field():
     # with two summands the components are read over a function field,
     # which is infinite and pseudo-Hilbertian whatever the ground field
-    comp = SymbolicComponent(from_generators([2, 3]), BaseField.prime_field(2))
-    res = cv_direct_sum([comp, comp])
+    comp = from_generators([2, 3])
+    res = cv_direct_sum([comp, comp], prime_field(2))
     assert res.is_infinite
     assert all(c.infinite for c in res.components)
 
 
 def test_cv_direct_sum_single_prime_field_computes():
-    comp = SymbolicComponent(from_generators([2, 3]), BaseField.prime_field(5))
-    res = cv_direct_sum([comp])
+    res = cv_direct_sum([from_generators([2, 3])], prime_field(5))
     assert res.group == FiniteAbelianGroup((5,))
+    assert res == cv_numerical_ring(5, from_generators([2, 3]))
 
 
 def test_cv_direct_sum_identity_and_errors():
     with pytest.raises(EmptyList):
-        cv_direct_sum([])
-    pre = cv_numerical_ring(2, from_generators([2, 3]))
-    assert cv_direct_sum([pre]) is pre
-    with pytest.raises(InputError):
-        cv_direct_sum([SymbolicComponent(from_generators([2, 3]), BaseField())])
+        cv_direct_sum([], prime_field(2))
+    # a free monoid has a polynomial ring, trivial class group, over any domain
+    assert cv_direct_sum([from_generators([1])], integers_z()).group == FiniteAbelianGroup(())
+    # INFINITE needs a field known to be infinite and pseudo-Hilbertian:
+    # neither an order nor Z is a field, and a custom domain says nothing
+    # about being one unless its flags do
+    proper = from_generators([2, 3])
+    for domain in (
+        order_in_number_field(),
+        integers_z(),
+        custom_domain(infinite=True, pseudo_hilbertian=True),
+        symbolic_field(0),
+    ):
+        with pytest.raises(InputError, match=domain.name):
+            cv_direct_sum([proper], domain)
+    field = custom_domain(is_field=True, infinite=True, pseudo_hilbertian=True)
+    assert cv_direct_sum([proper], field).infinite

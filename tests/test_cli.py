@@ -105,6 +105,36 @@ def test_classgroup_numerical_checks_the_prime_first(capsys):
     assert (code, json.loads(out)["error"]) == (2, "4 is not prime")
 
 
+def test_one_summand_is_read_over_the_domain_itself(capsys):
+    argv = ["classgroup", "direct-sum", "--gens", "2,3"]
+    # INFINITE is cited only over a field known to be infinite and pseudo-Hilbertian
+    for domain in ("q", "field:char=3,infinite=true,ph=true"):
+        code, out = _run(capsys, argv + ["--domain", domain])
+        group = json.loads(out)["class_group"]
+        assert code == 0 and group["infinite"] is True and group["citation"].startswith("picard-group-infinite")
+    # an order in a number field, Z, and a custom domain with no is_field flag are not known fields
+    for domain, name in (
+        ("order", "order in a number field"),
+        ("z", "Z"),
+        ("custom:infinite=true;pseudo_hilbertian=true", "custom domain"),
+    ):
+        code, out = _run(capsys, argv + ["--domain", domain])
+        assert code == 2 and json.loads(out) == {
+            "error": f"{name} is neither a prime field nor known to be an infinite pseudo-Hilbertian field",
+            "kind": "input",
+        }, domain
+    # over a prime field the class group is computed
+    for extra in (["--domain", "fp:5"], ["--p", "5"]):
+        code, out = _run(capsys, argv + extra)
+        group = json.loads(out)["class_group"]
+        assert code == 0 and group["invariant_factors"] == [5] and group["method"] == "conductor-square-unit-quotient"
+    # the free monoid is trivial over any domain, the prime is still checked
+    code, out = _run(capsys, ["classgroup", "direct-sum", "--gens", "1", "--domain", "order"])
+    assert code == 0 and json.loads(out)["class_group"]["order"] == 1
+    code, out = _run(capsys, ["classgroup", "direct-sum", "--gens", "1", "--p", "4"])
+    assert (code, json.loads(out)["error"]) == (2, "4 is not prime")
+
+
 def test_multiplicity_cap_exits_before_allocating(capsys):
     # the Apéry set would hold one entry per residue mod 1000003
     code, out = _run(capsys, ["numon", "info", "--gens", "1000003,1000033"])
@@ -321,18 +351,20 @@ def test_a_digest_keyed_cache_line_is_a_silent_miss(tmp_path, capsys):
     key = cli.request_key("numon", request)
     assert json.loads(key) == {"input": request, "op": "numon", "version": __version__}
     digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
-    # a record of an earlier release, keyed by the same request under its version
-    old_key = key.replace(f'"version":"{__version__}"', '"version":"0.1.0"')
-    assert old_key != key
+    # records of earlier releases, keyed by the same request under their versions
+    old_keys = [key.replace(f'"version":"{__version__}"', f'"version":"{v}"') for v in ("0.1.0", "0.2.0")]
+    assert key not in old_keys
     cache_file = tmp_path / cli.CACHE_FILE
     cache_file.write_text(
-        "".join(json.dumps({"key": k, "payload": {"stale": True}, "exit_code": 0}) + "\n" for k in (digest, old_key))
+        "".join(
+            json.dumps({"key": k, "payload": {"stale": True}, "exit_code": 0}) + "\n" for k in [digest, *old_keys]
+        )
     )
     assert cli.run(argv) == 0
     out, err = capsys.readouterr()
     assert json.loads(out)["atoms"] == [2, 3] and err == ""
     records = [json.loads(line) for line in cache_file.read_text().splitlines()]
-    assert [r["key"] for r in records] == [digest, old_key, key]
+    assert [r["key"] for r in records] == [digest, *old_keys, key]
     assert _run(capsys, argv) == (0, out)
 
 
@@ -544,6 +576,51 @@ def test_every_pool_argv_parses():
     assert (parsed, refused) == (597, 2)  # the two refused lack the required --element
 
 
+def test_every_cited_rule_replays_to_the_reported_value(capsys):
+    # each rule a payload cites is a decide.RULES row, and replaying it on the
+    # recorded inputs gives what the payload reports: the certificates of the
+    # three questions over every domain and monoid the pool asks about, and
+    # the rules of every affine info in the pool
+    import pathlib
+
+    from wktoolkit import decide
+
+    pool = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "pool.json"
+    argvs = [q["argv"] for qs in json.loads(pool.read_text())["classes"].values() for q in qs if "argv" in q]
+    domains = {a[a.index("--domain") + 1] for a in argvs if a[0] == "decide"}
+    monoids = {a[a.index("--monoid") + 1] for a in argvs if a[0] == "decide"}
+    steps = 0
+    for question in ("weakly-krull", "wfd", "generalized-krull"):
+        for domain in sorted(domains):
+            for monoid in sorted(monoids):
+                code, out = _run(capsys, ["decide", question, "--domain", domain, "--monoid", monoid])
+                assert code == 0, (question, domain, monoid)
+                for step in json.loads(out)["certificate"]:
+                    assert step["rule"].partition(":")[0] in decide.RULES, step["rule"]
+                    assert decide.replay_step(decide.CertStep(**step)) == step["outcome"], step
+                    steps += 1
+    assert steps > 0
+    reported = {
+        "affine-sum-weakly-krull-umt": ("weakly_krull", "umt"),
+        "monoid-generalized-krull-iff-valuation": ("generalized_krull",),
+    }
+    affine = [a for a in argvs if a[:2] == ["affine", "info"]]
+    assert len(affine) == 20
+    for argv in affine:
+        code, out = _run(capsys, argv)
+        payload = json.loads(out)
+        properties = payload["properties"]
+        assert code == 0 and sorted(properties["rules"]) == sorted(reported), argv
+        inputs = {
+            "monoid": argv[-1],
+            "components": [c["atoms"] for c in payload["input"]["components"]],
+        }
+        for rule in properties["rules"]:
+            outcome = decide.replay_step(decide.CertStep(rule, "", inputs, ""))
+            for key in reported[rule]:
+                assert outcome.split()[0] == str(properties[key]).lower(), (argv, rule, key)
+
+
 def test_the_reader_reads_what_argparse_reads():
     info = ["numon", "info", "--gens", "3,5"]
     for argv in (
@@ -647,6 +724,23 @@ def test_repeated_entries_are_input_errors(capsys):
     assert _input_error(capsys, decide_argv + ["custom:group=2^inf,2^0;weakly_krull=true;umt=true"])
 
 
+def test_an_empty_descriptor_component_is_an_input_error(capsys):
+    # Z is written z; an empty component once read as a silent copy of Z
+    for bad in ("", "2^inf+", "+z", "2^inf+ +3^1", "2^inf+,"):
+        with pytest.raises(InputError, match="empty component"):
+            cli.parse_group_descriptor(bad)
+    for argv in (
+        ["groups", "type000", "--desc", ""],
+        ["groups", "type000-except", "--desc", "2^inf+", "--p", "2"],
+        ["groups", "iprime", "--desc", "z+"],
+        ["decide", "weakly-krull", "--domain", "q", "--monoid", "custom:group=;weakly_krull=true;umt=true"],
+        ["decide", "wfd", "--domain", "z", "--monoid", "custom:group=2^inf+;weakly_krull=true"],
+    ):
+        assert _input_error(capsys, argv), argv
+    code, out = _run(capsys, ["groups", "type000", "--desc", "z+2^inf"])
+    assert code == 0 and len(json.loads(out)["input"]["descriptor"]["components"]) == 2
+
+
 def test_non_integer_text_is_an_input_error_naming_the_value(capsys):
     decide_argv = ["decide", "weakly-krull", "--monoid", "numerical:2,3", "--domain"]
     for argv, message in (
@@ -702,6 +796,23 @@ def test_a_query_runs_only_the_layers_it_touches():
         f"print([{_EXECUTED}, 'argparse' in sys.modules, 'gettext' in sys.modules])"
     )
     assert _fresh(script) == str([["wktoolkit.cli", "wktoolkit.errors", "wktoolkit.numon"], False, False])
+
+
+def test_affine_and_classgroup_queries_read_their_facts_from_decide():
+    # affine info reads its flags off decide's descriptor, and classgroup
+    # direct-sum --p reads the prime field as decide's DomainDescriptor
+    runs = {}
+    for argv in (
+        ["affine", "info", "--gens", "2,3;3,5"],
+        ["classgroup", "direct-sum", "--gens", "2,3", "--p", "3"],
+    ):
+        script = f"import sys, types; from wktoolkit import cli; cli.run({argv!r}); print({_EXECUTED})"
+        runs[argv[0]] = _fresh(script)
+    layers = ["wktoolkit.cli", "wktoolkit.decide", "wktoolkit.errors", "wktoolkit.groups", "wktoolkit.numon"]
+    assert runs == {
+        "affine": str(sorted(layers + ["wktoolkit.affine"])),
+        "classgroup": str(sorted(layers + ["wktoolkit.classgrp"])),
+    }
 
 
 def test_a_malformed_query_runs_no_layer():
