@@ -260,6 +260,7 @@ def _affine_info(args) -> dict:
             "weakly_krull": m.weakly_krull.truth,
             "umt": m.umt.truth,
             "seminormal": all(numon.is_seminormal(s)[0] for s in gamma.components),
+            # each component's root closure is N, so the sum's is N^rank, factorial
             "root_closure": f"free monoid of rank {gamma.rank}",
             "root_closure_factorial": True,
             "generalized_krull": m.generalized_krull.truth,
