@@ -26,17 +26,8 @@ Input grammars (shared by several subcommands):
 * finite abelian groups:  ``--group 4`` or ``--group 2,2`` (invariant factors)
 * group elements:  ``1`` for rank one, ``1:0`` for higher rank; blocks are
   comma-separated elements, e.g. ``--element 1,1,2`` or ``--element 1:0,0:1``
-* torsion-free descriptors:  components joined by ``+``; a component is
-  ``z`` or a nonempty comma list of ``prime^cap`` entries (cap an integer or
-  ``inf``), optionally including ``sym^cap`` for the symbolic infinite
-  class (append ``~fin`` for a finite complement), e.g. ``2^inf`` or
-  ``2^inf,sym^3``
-* domains:  ``z`` | ``fp:P`` | ``q`` | ``field:char=0,infinite=true,ph=true``
-  | ``order`` | ``custom:char=0;weakly_krull=true;...``; for ``decide``,
-  ``--char`` supplies a characteristic the domain text omitted
-
-* monoids:  ``numerical:2,3`` | ``affine:2,3;3,5`` |
-  ``custom:group=2^inf;weakly_krull=true;umt=true``
+* descriptors, domains and monoids:  read by ``groups.read_descriptor``,
+  ``decide.read_domain`` and ``decide.read_monoid``, whose modules give the grammars
 """
 
 from __future__ import annotations
@@ -102,121 +93,6 @@ def parse_block(text: str) -> list[tuple[int, ...]]:
     if not text:
         return []
     return [parse_element(tok) for tok in text.split(",")]
-
-
-def _parse_cap(text: str) -> int | float:
-    if text == "inf":
-        return groups.INF
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise InputError(f"cap must be an integer or 'inf', got {text!r}") from exc
-
-
-def parse_group_descriptor(text: str) -> groups.TorsionFreeGroupDescriptor:
-    comps = []
-    for part in text.split("+"):
-        part = part.strip()
-        if part == "z":
-            comps.append(groups.Rank1GroupDescriptor())
-            continue
-        exceptions = []
-        symbolic = None
-        for tok in part.split(","):
-            tok = tok.strip()
-            if not tok:
-                continue
-            head, sep, cap_text = tok.partition("^")
-            if not sep:
-                raise InputError(f"descriptor token {tok!r} needs the form prime^cap or sym^cap")
-            if head == "sym":
-                if symbolic is not None:
-                    raise InputError(f"repeated sym^ entry in {part!r}")
-                complement_infinite = True
-                if cap_text.endswith("~fin"):
-                    complement_infinite = False
-                    cap_text = cap_text[: -len("~fin")]
-                symbolic = groups.SymbolicPrimeClass(_parse_cap(cap_text), complement_infinite)
-            else:
-                try:
-                    prime = int(head)
-                except ValueError as exc:
-                    raise InputError(f"descriptor token {tok!r}: {head!r} is not an integer") from exc
-                exceptions.append((prime, _parse_cap(cap_text)))
-        if not exceptions and symbolic is None:
-            raise InputError(f"empty component in descriptor {text!r} (Z is written z)")
-        comps.append(groups.Rank1GroupDescriptor(tuple(exceptions), symbolic))
-    return groups.TorsionFreeGroupDescriptor(tuple(comps))
-
-
-def _parse_bool(text: str) -> bool:
-    if text in ("true", "yes", "1"):
-        return True
-    if text in ("false", "no", "0"):
-        return False
-    raise InputError(f"cannot read boolean {text!r}")
-
-
-def parse_domain(text: str) -> decide.DomainDescriptor:
-    if text == "z":
-        return decide.integers_z()
-    if text == "q":
-        return decide.symbolic_field(0, infinite=True, pseudo_hilbertian=True, name="Q")
-    if text == "order":
-        return decide.order_in_number_field()
-    head, sep, rest = text.partition(":")
-    if head == "fp" and sep:
-        try:
-            return decide.prime_field(int(rest))
-        except ValueError as exc:
-            raise InputError(f"bad prime in {text!r}") from exc
-    if head == "field" and sep:
-        kv = _parse_kv(rest, sep=",")
-        char = kv.pop("char", None)
-        char_val = None if char in (None, "none") else parse_int(char, "characteristic")
-        infinite = _parse_bool(kv.pop("infinite")) if "infinite" in kv else None
-        ph = _parse_bool(kv.pop("ph")) if "ph" in kv else None
-        if kv:
-            raise InputError(f"unknown field facts {sorted(kv)} in {text!r}")
-        return decide.symbolic_field(char_val, infinite=infinite, pseudo_hilbertian=ph)
-    if head == "custom" and sep:
-        kv = _parse_kv(rest, sep=";")
-        char = kv.pop("char", None)
-        char_val = None if char in (None, "none") else parse_int(char, "characteristic")
-        return decide.custom_domain(characteristic=char_val, **kv)
-    raise InputError(f"cannot read domain {text!r}")
-
-
-def _parse_kv(text: str, sep: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for tok in text.split(sep):
-        tok = tok.strip()
-        if not tok:
-            continue
-        key, eq, value = tok.partition("=")
-        if not eq:
-            raise InputError(f"expected key=value, got {tok!r}")
-        key = key.strip()
-        if key in out:
-            raise InputError(f"repeated key {key!r} in {text!r}")
-        out[key] = value.strip()
-    return out
-
-
-def parse_monoid(text: str) -> decide.MonoidDescriptor:
-    head, sep, rest = text.partition(":")
-    if head == "numerical" and sep:
-        return decide.numerical_monoid_descriptor(numon.from_generators(parse_int_list(rest)))
-    if head == "affine" and sep:
-        comps = [numon.from_generators(g) for g in parse_components(rest)]
-        return decide.affine_monoid_descriptor(affine.direct_sum(comps))
-    if head == "custom" and sep:
-        kv = _parse_kv(rest, sep=";")
-        if "group" not in kv:
-            raise InputError("custom monoid needs group=<descriptor>")
-        group = parse_group_descriptor(kv.pop("group"))
-        return decide.custom_monoid(group, **kv)
-    raise InputError(f"cannot read monoid {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +259,7 @@ def _classgroup_numerical(args) -> dict:
 
 def _classgroup_direct_sum(args) -> dict:
     comps = [numon.from_generators(g) for g in parse_components(args.gens)]
-    domain = decide.prime_field(args.p) if args.domain is None else parse_domain(args.domain)
+    domain = decide.prime_field(args.p) if args.domain is None else decide.read_domain(args.domain)
     return {
         "input": {
             "components": [s.to_json() for s in comps],
@@ -394,14 +270,8 @@ def _classgroup_direct_sum(args) -> dict:
 
 
 def _decide(args, question) -> dict:
-    d = parse_domain(args.domain)
-    if args.char is not None:
-        if args.char != 0 and not groups.is_prime(args.char):
-            raise InputError(f"--char must be 0 or prime, got {args.char}")
-        if d.characteristic is not None and d.characteristic != args.char:
-            raise InputError(f"--char {args.char} contradicts the domain's characteristic {d.characteristic}")
-        d = d._replace(characteristic=args.char)
-    m = parse_monoid(args.monoid)
+    d = decide.read_domain(args.domain, args.char)
+    m = decide.read_monoid(args.monoid)
     return {
         "input": {"domain": args.domain, "monoid": args.monoid, "question": args.action},
         **question(d, m).to_json(),
@@ -434,7 +304,7 @@ def _hilbertian_find(args) -> dict:
 
 
 def _groups_type000(args) -> dict:
-    g = parse_group_descriptor(args.desc)
+    g = groups.read_descriptor(args.desc)
     ok, witness = groups.is_type_000(g)
     return {
         "input": {"descriptor": g.to_json()},
@@ -444,7 +314,7 @@ def _groups_type000(args) -> dict:
 
 
 def _groups_type000_except(args) -> dict:
-    g = parse_group_descriptor(args.desc)
+    g = groups.read_descriptor(args.desc)
     ok, witness = groups.is_type_000_except_p(g, args.p)
     return {
         "input": {"descriptor": g.to_json(), "p": args.p},
@@ -454,7 +324,7 @@ def _groups_type000_except(args) -> dict:
 
 
 def _groups_iprime(args) -> dict:
-    g = parse_group_descriptor(args.desc)
+    g = groups.read_descriptor(args.desc)
     return {"input": {"descriptor": g.to_json()}, "satisfies_i_prime": groups.satisfies_i_prime(g)}
 
 

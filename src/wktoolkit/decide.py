@@ -24,6 +24,23 @@ steps return the recorded flag.
 Convention, used in exactly one rule: a field counts as trivially weakly
 Krull and UMT (it has no height-one primes).  Each certificate that relies
 on it says so.
+
+Every domain descriptor is built by ``custom_domain``, the one place that
+checks the characteristic and applies the field convention.  The text
+grammars, read by ``read_domain`` and ``read_monoid``:
+
+* domains:  ``z`` | ``q`` | ``order`` (an order in a number field) |
+  ``fp:P`` | ``field:char=C,infinite=F,ph=F`` (``ph``: pseudo-Hilbertian) |
+  ``custom:char=C;FLAG=F;...`` with FLAG one of ``is_field``,
+  ``weakly_krull``, ``umt``, ``gcd``, ``weakly_factorial``,
+  ``generalized_krull``, ``infinite``, ``pseudo_hilbertian``; C is an
+  integer or ``none``, F one of ``true``, ``false``, ``attested-true``,
+  ``attested-false``, ``unknown``, ``yes``, ``no``, ``1`` and ``0``, and
+  any entry may be left out
+* monoids:  ``numerical:2,3`` | ``affine:2,3;3,5`` |
+  ``custom:group=DESC;FLAG=F;...`` with DESC a torsion-free descriptor
+  (``groups.read_descriptor``) and FLAG one of ``weakly_krull``, ``umt``,
+  ``gcd``, ``weakly_factorial``, ``generalized_krull``
 """
 
 from __future__ import annotations
@@ -33,7 +50,7 @@ import itertools
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import groups as grp
-from .errors import InputError
+from .errors import EmptyList, InputError
 from .groups import TorsionFreeGroupDescriptor, TypeWitness, is_prime
 from .numon import NumericalMonoid, from_generators, is_valuation
 
@@ -57,18 +74,50 @@ class Flag(enum.Enum):
         return None
 
 
-def _parse_flag(value) -> Flag:
-    if isinstance(value, Flag):
-        return value
-    if value is None:
-        return Flag.UNKNOWN
-    if isinstance(value, bool):
-        return Flag.TRUE if value else Flag.FALSE
-    if isinstance(value, str):
-        for f in Flag:
-            if f.value == value:
-                return f
-    raise InputError(f"cannot read flag value {value!r}")
+# every value a flag may be given as: a Flag, its text, None (unknown), a
+# bool, or one of the texts yes, no, 1 and 0
+_FLAG_VALUES = {
+    **{f: f for f in Flag},
+    **{f.value: f for f in Flag},
+    None: Flag.UNKNOWN,
+    True: Flag.TRUE,
+    False: Flag.FALSE,
+    "yes": Flag.TRUE,
+    "1": Flag.TRUE,
+    "no": Flag.FALSE,
+    "0": Flag.FALSE,
+}
+
+
+def _read_flags(values: dict, names: tuple[str, ...], owner: str) -> dict[str, Flag]:
+    """The one flag reader: the flags ``values`` gives, each key one of
+    ``names`` and each value one of ``_FLAG_VALUES``."""
+    flags = {}
+    for key, value in values.items():
+        if key not in names:
+            raise InputError(f"unknown {owner} flag {key!r}")
+        try:
+            flags[key] = _FLAG_VALUES[value]
+        except (KeyError, TypeError):  # TypeError: an unhashable value
+            raise InputError(f"cannot read flag value {value!r}") from None
+    return flags
+
+
+def _pairs(text: str, sep: str) -> dict[str, str]:
+    """``key=value`` entries joined by ``sep``; a key may appear once."""
+    out: dict[str, str] = {}
+    for tok in text.split(sep):
+        tok = tok.strip()
+        if not tok:
+            continue
+        key, eq, value = tok.partition("=")
+        if not eq:
+            raise InputError(f"expected key=value, got {tok!r}")
+        key = key.strip()
+        if key in out:
+            raise InputError(f"repeated key {key!r} in {text!r}")
+        out[key] = value.strip()
+    return out
 
 
 class CertStep(NamedTuple):
@@ -129,92 +178,11 @@ class DomainDescriptor(NamedTuple):
         return getattr(self, name)
 
 
-def integers_z() -> DomainDescriptor:
-    """The rational integers: a principal ideal domain, hence Krull, weakly
-    factorial, GCD, generalized Krull and UMT."""
-    return DomainDescriptor(
-        kind="integers",
-        name="Z",
-        characteristic=0,
-        is_field=Flag.FALSE,
-        weakly_krull=Flag.TRUE,
-        umt=Flag.TRUE,
-        gcd=Flag.TRUE,
-        weakly_factorial=Flag.TRUE,
-        generalized_krull=Flag.TRUE,
-        infinite=Flag.TRUE,
-        pseudo_hilbertian=Flag.UNKNOWN,
-    )
-
-
-def _field_flags() -> dict:
-    # a field has no height-one primes and no nonzero nonunits, so every
-    # condition here holds vacuously (the one-rule convention)
-    return dict(
-        is_field=Flag.TRUE,
-        weakly_krull=Flag.TRUE,
-        umt=Flag.TRUE,
-        gcd=Flag.TRUE,
-        weakly_factorial=Flag.TRUE,
-        generalized_krull=Flag.TRUE,
-    )
-
-
-def prime_field(p: int) -> DomainDescriptor:
-    if not is_prime(p):
-        raise InputError(f"{p} is not prime")
-    return DomainDescriptor(
-        kind="prime-field",
-        name=f"F_{p}",
-        characteristic=p,
-        infinite=Flag.FALSE,
-        pseudo_hilbertian=Flag.TRUE,  # finite fields are pseudo-Hilbertian
-        **_field_flags(),
-    )
-
-
-def symbolic_field(
-    characteristic: int | None,
-    infinite: bool | None = None,
-    pseudo_hilbertian: bool | None = None,
-    name: str | None = None,
-) -> DomainDescriptor:
-    if characteristic not in (None, 0) and not is_prime(characteristic):
-        raise InputError(f"characteristic {characteristic} is neither 0 nor prime")
-    if name is None and characteristic is None:
-        name = "field of unknown characteristic"
-    return DomainDescriptor(
-        kind="symbolic-field",
-        name=name or f"field of characteristic {characteristic}",
-        characteristic=characteristic,
-        infinite=_parse_flag(infinite),
-        pseudo_hilbertian=_parse_flag(pseudo_hilbertian),
-        **_field_flags(),
-    )
-
-
-def order_in_number_field(name: str = "order in a number field") -> DomainDescriptor:
-    """Attested profile: noetherian, weakly Krull and UMT because the
-    integral closures of its localizations at maximal t-ideals are
-    one-dimensional Krull, hence Pruefer."""
-    return DomainDescriptor(
-        kind="order-in-number-field",
-        name=name,
-        characteristic=0,
-        is_field=Flag.FALSE,
-        weakly_krull=Flag.ATTESTED_TRUE,
-        umt=Flag.ATTESTED_TRUE,
-        gcd=Flag.UNKNOWN,
-        weakly_factorial=Flag.UNKNOWN,
-        generalized_krull=Flag.UNKNOWN,
-        infinite=Flag.TRUE,
-        pseudo_hilbertian=Flag.TRUE,
-    )
-
+_DOMAIN_FACTS = _DOMAIN_FLAGS + ("infinite", "pseudo_hilbertian")
 
 _DOMAIN_CLOSURE_RULES = (
     # (premise flag, consequence flag): standard implications applied to
-    # explicit custom descriptors so attested inputs stay coherent
+    # explicit descriptors so attested inputs stay coherent
     ("weakly_factorial", "weakly_krull"),
     ("gcd", "umt"),
     ("generalized_krull", "weakly_krull"),
@@ -232,33 +200,97 @@ def _close_flags(values: dict) -> None:
                 values[consequence] = Flag.TRUE
 
 
-def custom_domain(characteristic: int | None = None, name: str = "custom domain", **flags) -> DomainDescriptor:
-    """Explicit-flag descriptor.  Flags not given stay unknown; known
+def custom_domain(
+    characteristic: int | None = None, name: str = "custom domain", kind: str = "custom", **flags
+) -> DomainDescriptor:
+    """Every domain descriptor is built here.  The characteristic is 0, a
+    prime or unknown (None), and flags not given stay unknown.  A field has
+    no height-one primes and no nonzero nonunits, so every structural flag
+    of a field holds vacuously (the one-rule convention).  Known
     implications (weakly factorial implies weakly Krull, GCD implies UMT,
     generalized Krull implies weakly Krull) are closed off so descriptors
     cannot contradict the theorems the engine composes."""
     if characteristic not in (None, 0) and not is_prime(characteristic):
         raise InputError(f"characteristic {characteristic} is neither 0 nor prime")
-    parsed = {k: _parse_flag(v) for k, v in flags.items()}
-    for k in parsed:
-        if k not in _DOMAIN_FLAGS + ("infinite", "pseudo_hilbertian"):
-            raise InputError(f"unknown domain flag {k!r}")
-    values = {k: parsed.get(k, Flag.UNKNOWN) for k in _DOMAIN_FLAGS}
+    values = {**dict.fromkeys(_DOMAIN_FACTS, Flag.UNKNOWN), **_read_flags(flags, _DOMAIN_FACTS, "domain")}
     if values["is_field"].truth:
-        for k, v in _field_flags().items():
+        for k in _DOMAIN_FLAGS:
             if values[k].truth is False:
                 raise InputError(f"inconsistent flags: a field cannot have {k} false")
             if values[k] is Flag.UNKNOWN:
-                values[k] = v
+                values[k] = Flag.TRUE
     _close_flags(values)
-    return DomainDescriptor(
-        kind="custom",
-        name=name,
-        characteristic=characteristic,
-        infinite=parsed.get("infinite", Flag.UNKNOWN),
-        pseudo_hilbertian=parsed.get("pseudo_hilbertian", Flag.UNKNOWN),
-        **values,
-    )
+    return DomainDescriptor(kind, name, characteristic, **values)
+
+
+def prime_field(p: int) -> DomainDescriptor:
+    """F_p, the domain ``fp:P`` names."""
+    return read_domain(f"fp:{p}")
+
+
+# the domains named by one word: text -> (kind, name, characteristic, flags)
+_PROFILES = {
+    # a principal ideal domain: Krull, weakly factorial, GCD, generalized
+    # Krull and UMT (the closure adds weakly Krull and UMT)
+    "z": ("integers", "Z", 0, dict(
+        is_field=False, gcd=True, weakly_factorial=True, generalized_krull=True, infinite=True
+    )),
+    "q": ("symbolic-field", "Q", 0, dict(is_field=True, infinite=True, pseudo_hilbertian=True)),
+    # attested: noetherian, weakly Krull and UMT because the integral
+    # closures of its localizations at maximal t-ideals are one-dimensional
+    # Krull, hence Pruefer
+    "order": ("order-in-number-field", "order in a number field", 0, dict(
+        is_field=False, weakly_krull="attested-true", umt="attested-true", infinite=True, pseudo_hilbertian=True
+    )),
+}
+
+
+def _read_char(text: str | None) -> int | None:
+    if text in (None, "none"):
+        return None
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise InputError(f"cannot read characteristic {text!r}") from exc
+
+
+def read_domain(text: str, char: int | None = None) -> DomainDescriptor:
+    """The domain a text names, in the grammar of the module docstring.
+    ``char`` supplies a characteristic the text leaves out and must agree
+    with one it gives."""
+    head, sep, rest = text.partition(":")
+    if text in _PROFILES:
+        kind, name, characteristic, flags = _PROFILES[text]
+    elif head == "fp" and sep:
+        try:
+            characteristic = int(rest)
+        except ValueError as exc:
+            raise InputError(f"bad prime in {text!r}") from exc
+        if not is_prime(characteristic):
+            raise InputError(f"{characteristic} is not prime")
+        # a finite field is pseudo-Hilbertian
+        kind, name = "prime-field", f"F_{characteristic}"
+        flags = dict(is_field=True, infinite=False, pseudo_hilbertian=True)
+    elif head == "field" and sep:
+        pairs = _pairs(rest, ",")
+        characteristic = _read_char(pairs.pop("char", None))
+        facts = _read_flags(pairs, ("infinite", "ph"), "field")
+        kind, name = "symbolic-field", None  # named below, by its characteristic
+        flags = dict(is_field=True, infinite=facts.get("infinite"), pseudo_hilbertian=facts.get("ph"))
+    elif head == "custom" and sep:
+        pairs = _pairs(rest, ";")
+        characteristic = _read_char(pairs.pop("char", None))
+        # read here, so that no key reaches the constructor's own parameters
+        kind, name, flags = "custom", "custom domain", _read_flags(pairs, _DOMAIN_FACTS, "domain")
+    else:
+        raise InputError(f"cannot read domain {text!r}")
+    if char is not None:
+        if characteristic is not None and characteristic != char:
+            raise InputError(f"--char {char} contradicts the domain's characteristic {characteristic}")
+        characteristic = char
+    if name is None:
+        name = "field of " + ("unknown characteristic" if characteristic is None else f"characteristic {characteristic}")
+    return custom_domain(characteristic, name, kind, **flags)
 
 
 _MONOID_FLAGS = ("weakly_krull", "umt", "gcd", "weakly_factorial", "generalized_krull")
@@ -314,13 +346,36 @@ def affine_monoid_descriptor(gamma: AffineSumMonoid) -> MonoidDescriptor:
 def custom_monoid(
     group: TorsionFreeGroupDescriptor, name: str = "custom monoid", **flags
 ) -> MonoidDescriptor:
-    parsed = {k: _parse_flag(v) for k, v in flags.items()}
-    for k in parsed:
-        if k not in _MONOID_FLAGS:
-            raise InputError(f"unknown monoid flag {k!r}")
-    values = {k: parsed.get(k, Flag.UNKNOWN) for k in _MONOID_FLAGS}
+    values = {**dict.fromkeys(_MONOID_FLAGS, Flag.UNKNOWN), **_read_flags(flags, _MONOID_FLAGS, "monoid")}
     _close_flags(values)
     return MonoidDescriptor(kind="custom", name=name, group=group, **values)
+
+
+def _ints(text: str) -> list[int]:
+    try:
+        return [int(tok) for tok in text.split(",") if tok != ""]
+    except ValueError as exc:
+        raise InputError(f"cannot read integer list {text!r}") from exc
+
+
+def read_monoid(text: str) -> MonoidDescriptor:
+    """The monoid a text names, in the grammar of the module docstring."""
+    head, sep, rest = text.partition(":")
+    if head == "numerical" and sep:
+        return _sum_descriptor((from_generators(_ints(rest)),))
+    if head == "affine" and sep:
+        components = tuple(from_generators(_ints(part)) for part in rest.split(";") if part != "")
+        if not components:
+            raise EmptyList("direct sum of no components")
+        return _sum_descriptor(components)
+    if head == "custom" and sep:
+        pairs = _pairs(rest, ";")
+        if "group" not in pairs:
+            raise InputError("custom monoid needs group=<descriptor>")
+        group = grp.read_descriptor(pairs.pop("group"))
+        # read here, so that no key reaches the constructor's own parameters
+        return custom_monoid(group, **_read_flags(pairs, _MONOID_FLAGS, "monoid"))
+    raise InputError(f"cannot read monoid {text!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,12 @@ except p"): (i) infinitely many primes divide no nonzero element, and
 Direct sums are checked componentwise; an element supported in one
 component has exactly that component's divisibility, so each condition
 quantified over all nonzero g reduces to all components.
+
+``read_descriptor`` reads a descriptor from text: components joined by
+``+``; a component is ``z`` or a nonempty comma list of ``prime^cap``
+entries (cap an integer or ``inf``), optionally including ``sym^cap`` for
+the symbolic infinite class (append ``~fin`` for a finite complement),
+e.g. ``2^inf`` or ``2^inf,sym^3``.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ import math
 from collections import namedtuple
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import CarrierNotClosed, InputError, SizeCapExceeded
+from .errors import CapExceeded, CarrierNotClosed, InputError, SizeCapExceeded
 
 INF = float("inf")
 
@@ -45,18 +51,40 @@ CARRIER_CAP = 10 ** 6
 _FULL_CLOSURE_LIMIT = 600
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# No composite below this bound passes strong probable-prime tests to the
+# first 13 prime bases, 2 to 41 (Sorenson & Webster, "Strong pseudoprimes
+# to twelve prime bases", Math. Comp. 86, 2017); the bound is itself a composite
+# that passes all 13
+PRIME_TEST_CAP = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality below ``PRIME_TEST_CAP``: trial division by the
+    primes up to 37, which settles every n < 41^2, then a strong
+    probable-prime test to each of the bases 2, 3, ..., 41.  A larger n is
+    refused rather than guessed."""
     if n < 2:
         return False
-    if n < 4:
+    for q in _SMALL_PRIMES:
+        if n % q == 0:
+            return n == q
+    if n < 41 * 41:
         return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    if n >= PRIME_TEST_CAP:
+        raise CapExceeded(f"primality of {n} is decided only below {PRIME_TEST_CAP}")
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for a in _SMALL_PRIMES + (41,):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -489,6 +517,49 @@ class TorsionFreeGroupDescriptor(namedtuple("TorsionFreeGroupDescriptor", "compo
 
     def __str__(self) -> str:
         return f"torsion-free group of rank {self.rank}"
+
+
+def _read_cap(text: str) -> int | float:
+    if text == "inf":
+        return INF
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise InputError(f"cap must be an integer or 'inf', got {text!r}") from exc
+
+
+def read_descriptor(text: str) -> TorsionFreeGroupDescriptor:
+    """The descriptor a text names, in the grammar of the module docstring."""
+    comps = []
+    for part in text.split("+"):
+        part = part.strip()
+        if part == "z":
+            comps.append(Rank1GroupDescriptor())
+            continue
+        exceptions = []
+        symbolic = None
+        for tok in part.split(","):
+            tok = tok.strip()
+            if not tok:
+                continue
+            head, sep, cap_text = tok.partition("^")
+            if not sep:
+                raise InputError(f"descriptor token {tok!r} needs the form prime^cap or sym^cap")
+            if head == "sym":
+                if symbolic is not None:
+                    raise InputError(f"repeated sym^ entry in {part!r}")
+                complement_infinite = not cap_text.endswith("~fin")
+                symbolic = SymbolicPrimeClass(_read_cap(cap_text.removesuffix("~fin")), complement_infinite)
+            else:
+                try:
+                    prime = int(head)
+                except ValueError as exc:
+                    raise InputError(f"descriptor token {tok!r}: {head!r} is not an integer") from exc
+                exceptions.append((prime, _read_cap(cap_text)))
+        if not exceptions and symbolic is None:
+            raise InputError(f"empty component in descriptor {text!r} (Z is written z)")
+        comps.append(Rank1GroupDescriptor(tuple(exceptions), symbolic))
+    return TorsionFreeGroupDescriptor(tuple(comps))
 
 
 def integers(rank: int = 1) -> TorsionFreeGroupDescriptor:

@@ -201,18 +201,6 @@ def is_seminormal(s: NumericalMonoid) -> tuple[bool, int | None]:
     return True, None
 
 
-def root_closure(s: NumericalMonoid) -> tuple[NumericalMonoid, dict[int, int]]:
-    """The root closure is the full monoid; for each gap g the witness maps
-    g to the least n >= 2 with n*g in s."""
-    witnesses = {}
-    for g in s.gaps:
-        n = 2
-        while not s.contains(n * g):
-            n += 1
-        witnesses[g] = n
-    return from_generators([1]), witnesses
-
-
 def is_valuation(s: NumericalMonoid) -> bool:
     """Divisibility is a total order iff s is the full monoid, so this is
     ``s.is_free`` under the name the generalized-Krull rule reads."""

@@ -25,12 +25,10 @@ from wktoolkit.decide import (
     decide_generalized_krull,
     decide_weakly_krull,
     decide_wfd,
-    integers_z,
     kg_weakly_krull,
     numerical_monoid_descriptor,
-    order_in_number_field,
     prime_field,
-    symbolic_field,
+    read_domain,
 )
 from wktoolkit.factor import affine_length_set, delta_of, length_set
 from wktoolkit.groups import (
@@ -221,7 +219,7 @@ def test_criterion_6_group_types():
 
 def test_criterion_7_decision_engine():
     with criterion("7 decision engine"):
-        z = integers_z()
+        z = read_domain("z")
         for s in enumerate_numerical_monoids(12):
             assert decide_weakly_krull(z, numerical_monoid_descriptor(s)).answer is True
 
@@ -238,8 +236,8 @@ def test_criterion_7_decision_engine():
             (prime_field(3), n0, decide_generalized_krull, True),
             (prime_field(3), m23, decide_generalized_krull, False),
             (prime_field(2), custom2, decide_weakly_krull, True),
-            (symbolic_field(0), custom2, decide_weakly_krull, False),
-            (order_in_number_field(), m23, decide_weakly_krull, True),
+            (read_domain("field:char=0"), custom2, decide_weakly_krull, False),
+            (read_domain("order"), m23, decide_weakly_krull, True),
             (z, m469, decide_weakly_krull, True),
             (custom_domain(characteristic=0), n0, decide_wfd, None),
         ]

@@ -9,7 +9,7 @@ from wktoolkit.classgrp import (
     cv_numerical_ring,
     truncated_unit_group,
 )
-from wktoolkit.decide import custom_domain, integers_z, order_in_number_field, prime_field, symbolic_field
+from wktoolkit.decide import custom_domain, prime_field, read_domain
 from wktoolkit.errors import EmptyList, InputError, SizeCapExceeded
 from wktoolkit.groups import FiniteAbelianGroup
 from wktoolkit.numon import from_generators
@@ -160,7 +160,7 @@ def test_class_group_result_validation():
 
 
 def test_cv_direct_sum_contract_examples():
-    q = symbolic_field(0, infinite=True, pseudo_hilbertian=True, name="Q")
+    q = read_domain("q")
     # one proper component over an infinite pseudo-Hilbertian field
     single = cv_direct_sum([from_generators([2, 3])], q)
     assert isinstance(single, ClassGroupResult)
@@ -199,16 +199,16 @@ def test_cv_direct_sum_identity_and_errors():
     with pytest.raises(EmptyList):
         cv_direct_sum([], prime_field(2))
     # a free monoid has a polynomial ring, trivial class group, over any domain
-    assert cv_direct_sum([from_generators([1])], integers_z()).group == FiniteAbelianGroup(())
+    assert cv_direct_sum([from_generators([1])], read_domain("z")).group == FiniteAbelianGroup(())
     # INFINITE needs a field known to be infinite and pseudo-Hilbertian:
     # neither an order nor Z is a field, and a custom domain says nothing
     # about being one unless its flags do
     proper = from_generators([2, 3])
     for domain in (
-        order_in_number_field(),
-        integers_z(),
+        read_domain("order"),
+        read_domain("z"),
         custom_domain(infinite=True, pseudo_hilbertian=True),
-        symbolic_field(0),
+        read_domain("field:char=0"),
     ):
         with pytest.raises(InputError, match=domain.name):
             cv_direct_sum([proper], domain)

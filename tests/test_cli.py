@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from wktoolkit import __version__, cli
+from wktoolkit import __version__, cli, decide, groups
 from wktoolkit.errors import InputError
 
 
@@ -583,8 +583,6 @@ def test_every_cited_rule_replays_to_the_reported_value(capsys):
     # the rules of every affine info in the pool
     import pathlib
 
-    from wktoolkit import decide
-
     pool = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "pool.json"
     argvs = [q["argv"] for qs in json.loads(pool.read_text())["classes"].values() for q in qs if "argv" in q]
     domains = {a[a.index("--domain") + 1] for a in argvs if a[0] == "decide"}
@@ -711,13 +709,13 @@ def test_import_loads_every_layer():
 def test_repeated_entries_are_input_errors(capsys):
     for bad in ("2^inf,2^0", "sym^3,sym^inf", "z+3^1,sym^2,3^inf"):
         with pytest.raises(InputError, match="repeated"):
-            cli.parse_group_descriptor(bad)
+            groups.read_descriptor(bad)
     with pytest.raises(InputError, match="repeated key"):
-        cli.parse_domain("custom:char=0;weakly_krull=true;char=2")
+        decide.read_domain("custom:char=0;weakly_krull=true;char=2")
     with pytest.raises(InputError, match="repeated key"):
-        cli.parse_domain("field:infinite=true,infinite=false")
+        decide.read_domain("field:infinite=true,infinite=false")
     with pytest.raises(InputError, match="repeated key"):
-        cli.parse_monoid("custom:group=2^inf;umt=true;umt=false")
+        decide.read_monoid("custom:group=2^inf;umt=true;umt=false")
     decide_argv = ["decide", "weakly-krull", "--domain", "q", "--monoid"]
     code, out = _run(capsys, decide_argv + ["custom:group=2^inf;weakly_krull=true;umt=true"])
     assert code == 0 and json.loads(out)["answer"] is False
@@ -728,7 +726,7 @@ def test_an_empty_descriptor_component_is_an_input_error(capsys):
     # Z is written z; an empty component once read as a silent copy of Z
     for bad in ("", "2^inf+", "+z", "2^inf+ +3^1", "2^inf+,"):
         with pytest.raises(InputError, match="empty component"):
-            cli.parse_group_descriptor(bad)
+            groups.read_descriptor(bad)
     for argv in (
         ["groups", "type000", "--desc", ""],
         ["groups", "type000-except", "--desc", "2^inf+", "--p", "2"],
@@ -879,3 +877,43 @@ def test_every_layer_shows_its_public_functions_when_read():
     }
     assert all(expected.values())
     assert _fresh(script) == str(expected)
+
+
+def test_field_and_custom_domains_read_the_same_flag_values(capsys):
+    # field: facts once read only true/false/yes/no/1/0, and custom: facts
+    # only true/false/attested-true/attested-false/unknown
+    for domain in (
+        "field:char=0,infinite=true,ph=true",
+        "field:char=0,infinite=attested-true,ph=yes",
+        "custom:char=0;is_field=1;infinite=yes;pseudo_hilbertian=attested-true",
+    ):
+        code, out = _run(capsys, ["classgroup", "direct-sum", "--gens", "2,3", "--domain", domain])
+        assert code == 0 and json.loads(out)["class_group"]["infinite"] is True, domain
+
+
+def test_a_characteristic_neither_0_nor_prime_has_one_message(capsys):
+    expected = {"error": "characteristic 4 is neither 0 nor prime", "kind": "input"}
+    for domain, extra in (("field:char=4", []), ("custom:char=4", []), ("custom:umt=true", ["--char", "4"])):
+        argv = ["decide", "weakly-krull", "--domain", domain, "--monoid", "numerical:2,3"] + extra
+        code, out = _run(capsys, argv)
+        assert code == 2 and json.loads(out) == expected, argv
+
+
+def test_large_primes_answer_at_once(capsys):
+    p = "10000000000000061"
+    code, out = _run(capsys, ["groups", "type000-except", "--desc", "2^inf", "--p", p])
+    assert code == 0 and json.loads(out)["type_000_except_p"] is False
+    code, out = _run(capsys, ["decide", "weakly-krull", "--domain", "fp:" + p, "--monoid", "numerical:2,3"])
+    assert code == 0 and json.loads(out)["answer"] is True
+    code, out = _run(capsys, ["groups", "type000-except", "--desc", "2^inf", "--p", str(2**89 - 1)])
+    assert code == 3 and json.loads(out)["kind"] == "cap"
+
+
+def test_irreducibility_degree_cap_exits_at_once(capsys):
+    from wktoolkit.hilbertian import DEGREE_CAP
+
+    prefix = ",".join(["1"] * (DEGREE_CAP + 2))
+    code, out = _run(capsys, ["hilbertian", "irreducible", "--p", "2", "--prefix", prefix])
+    assert code == 3 and json.loads(out)["kind"] == "cap"
+    code, out = _run(capsys, ["hilbertian", "find", "--p", "2", "--prefix", "1", "--max-degree", str(DEGREE_CAP + 1)])
+    assert code == 3 and json.loads(out)["kind"] == "cap"

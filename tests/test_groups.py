@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from wktoolkit.errors import CarrierNotClosed, InputError, SizeCapExceeded
+from wktoolkit.errors import CapError, CarrierNotClosed, InputError, SizeCapExceeded
 from wktoolkit.groups import (
     INF,
+    PRIME_TEST_CAP,
     FiniteAbelianGroup,
     Rank1GroupDescriptor,
     SymbolicPrimeClass,
@@ -14,13 +15,16 @@ from wktoolkit.groups import (
     combine_invariant_factors,
     cyclic,
     integers,
+    is_prime,
     is_type_000,
+    read_descriptor,
     is_type_000_except_p,
     prime_power_union,
     quotient_structure,
     satisfies_i_prime,
     smith_normal_form,
 )
+from tests_support_trial_division import trial_division_is_prime
 
 
 # ---------------------------------------------------------------------------
@@ -341,3 +345,51 @@ def test_descriptor_json_round_trip():
     for _ in range(50):
         g = _random_descriptor(rng)
         assert TorsionFreeGroupDescriptor.from_json(g.to_json()) == g
+
+
+# ---------------------------------------------------------------------------
+# primality
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert [n for n in range(10**5 + 1) if is_prime(n)] == [
+        n for n in range(10**5 + 1) if trial_division_is_prime(n)
+    ]
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to the bases 2, ..., 31
+    for n in (3215031751, 3825123056546413051):
+        assert not is_prime(n) and not trial_division_is_prime(n)
+    # a strong pseudoprime to the bases 2, ..., 37 (= 399165290221 *
+    # 798330580441), caught by the 13th base, 41
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(10**12 + 39) and trial_division_is_prime(10**12 + 39)
+
+
+def test_is_prime_is_fast_on_large_input_and_refuses_past_its_exact_range():
+    # trial division alone took about 8 s on the last of these
+    for n in (10**14 + 31, 10**16 + 61, 2**61 - 1):
+        assert is_prime(n)
+    assert not is_prime((10**16 + 61) * (10**6 + 3))
+    with pytest.raises(CapError):
+        is_prime(2**89 - 1)  # prime, but past PRIME_TEST_CAP
+    # the cap is a composite that passes the strong test to all 13 bases
+    assert PRIME_TEST_CAP == 1287836182261 * 2575672364521
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+        d, s = PRIME_TEST_CAP - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        x = pow(a, d, PRIME_TEST_CAP)
+        assert x in (1, PRIME_TEST_CAP - 1) or PRIME_TEST_CAP - 1 in (pow(x, 2**r, PRIME_TEST_CAP) for r in range(s))
+    with pytest.raises(CapError):
+        is_prime(PRIME_TEST_CAP)
+
+
+def test_read_descriptor_reads_the_grammar():
+    assert read_descriptor("z") == integers()
+    assert read_descriptor("z+z") == integers(2)
+    assert read_descriptor("2^inf") == prime_power_union(2)
+    assert read_descriptor("3^2, 2^inf ,sym^inf~fin") == TorsionFreeGroupDescriptor(
+        (Rank1GroupDescriptor(((2, INF), (3, 2)), SymbolicPrimeClass(INF, complement_infinite=False)),)
+    )
+    for bad in ("2", "x^1", "2^x", "sym^0", "4^1"):
+        with pytest.raises(InputError):
+            read_descriptor(bad)

@@ -3,12 +3,14 @@ import itertools
 import pytest
 
 from wktoolkit.errors import (
+    CapError,
     ConstantPolynomial,
     DegreeTooSmall,
     InputError,
     ZeroConstantTerm,
 )
 from wktoolkit.hilbertian import (
+    DEGREE_CAP,
     PrimePolynomial,
     find_irreducible_with_prefix,
     is_irreducible,
@@ -113,3 +115,15 @@ def test_find_irreducible_deterministic():
         if tail >= a.coefficients[2:]:
             break
         assert not is_irreducible(PrimePolynomial(5, (2, 3) + tail))
+
+
+def test_degrees_past_the_cap_are_refused_before_any_arithmetic():
+    too_long = PrimePolynomial(2, (1,) * (DEGREE_CAP + 2))
+    assert too_long.degree == DEGREE_CAP + 1
+    with pytest.raises(CapError):
+        is_irreducible(too_long)
+    with pytest.raises(CapError):
+        find_irreducible_with_prefix(2, (1,), DEGREE_CAP + 1)
+    # a prefix no shorter than max_degree is still the input error it was
+    with pytest.raises(DegreeTooSmall):
+        find_irreducible_with_prefix(2, (1,) * (DEGREE_CAP + 2), DEGREE_CAP + 1)

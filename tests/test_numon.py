@@ -29,7 +29,6 @@ from wktoolkit.numon import (
     make_ideal,
     monoid_as_ideal,
     principal_ideal,
-    root_closure,
     unique_maximal_ideal,
     v_closure,
 )
@@ -255,19 +254,6 @@ def test_seminormal_collapses_to_no_gaps():
         if not ok:
             g = witness
             assert g in s.gaps and s.contains(2 * g) and s.contains(3 * g)
-
-
-def test_root_closure_contract_examples():
-    closure, witness = root_closure(from_generators([2, 3]))
-    assert closure.is_free
-    assert witness == {1: 2}  # 2 * 1 = 2 lies in the monoid
-    closure, witness = root_closure(from_generators([1]))
-    assert closure.is_free and witness == {}
-    closure, witness = root_closure(from_generators([5, 7]))
-    assert closure.is_free
-    for g, n in witness.items():
-        assert from_generators([5, 7]).contains(n * g)
-        assert not from_generators([5, 7]).contains((n - 1) * g)
 
 
 def test_is_valuation_contract_examples():

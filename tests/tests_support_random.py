@@ -7,10 +7,9 @@ from wktoolkit.decide import (
     affine_monoid_descriptor,
     custom_domain,
     custom_monoid,
-    integers_z,
     numerical_monoid_descriptor,
     prime_field,
-    symbolic_field,
+    read_domain,
 )
 from wktoolkit.errors import InputError
 from wktoolkit.groups import (
@@ -42,11 +41,11 @@ def random_domain(rng):
     while True:
         choice = rng.random()
         if choice < 0.2:
-            return integers_z()
+            return read_domain("z")
         if choice < 0.4:
             return prime_field(rng.choice([2, 3, 5]))
         if choice < 0.5:
-            return symbolic_field(rng.choice([0, 2, 3]))
+            return read_domain(f"field:char={rng.choice([0, 2, 3])}")
         flags = {
             name: rng.choice([True, False, None, "attested-true", "attested-false"])
             for name in _FLAG_NAMES
