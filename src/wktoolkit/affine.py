@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import EmptyList, InputError
+from .errors import InputError
 from .numon import NumericalMonoid
 
 
@@ -41,7 +41,7 @@ class AffineSumMonoid(NamedTuple):
 def direct_sum(monoids: Iterable[NumericalMonoid]) -> AffineSumMonoid:
     comps = tuple(monoids)
     if not comps:
-        raise EmptyList("direct sum of no components")
+        raise InputError("direct sum of no components")
     return AffineSumMonoid(comps)
 
 

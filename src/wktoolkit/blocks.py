@@ -37,8 +37,8 @@ import operator
 from functools import reduce
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import CapExceeded, GroupTooLarge, InputError, NotZeroSum
-from .factor import BoundedResult, delta_union, lengths_of, uk_union
+from .errors import CapError, InputError
+from .factor import CELLS_CAP, FACTORIZATIONS_CAP, BoundedResult, delta_union, lengths_of, uk_union
 from .groups import FiniteAbelianGroup
 
 if TYPE_CHECKING:
@@ -63,7 +63,7 @@ class Block(NamedTuple):
         for e in elems:
             total = group.add(total, e)
         if total != group.zero():
-            raise NotZeroSum(f"elements sum to {total}, not zero")
+            raise InputError(f"elements sum to {total}, not zero")
         return Block(group, elems)
 
     @property
@@ -87,7 +87,7 @@ class Block(NamedTuple):
 
 def _check_group(group: FiniteAbelianGroup) -> None:
     if group.order > GROUP_CAP:
-        raise GroupTooLarge(f"group of order {group.order} exceeds cap {GROUP_CAP}")
+        raise CapError(f"group of order {group.order} exceeds cap {GROUP_CAP}")
 
 
 def _normalize_g0(group: FiniteAbelianGroup, g0: Iterable[Sequence[int]] | None) -> list[Element]:
@@ -204,14 +204,42 @@ def _packed_atoms(
     return x, block.length, atoms, [pack(a.elements) for a in atoms], minus
 
 
+def _factorization_count(x: int, packed: list[int], minus: Callable) -> int:
+    """The number of factorizations of the packed block x, counted one atom
+    at a time (coin change over the divisors of x that are sums of the
+    atoms taken so far): taking atom a turns the counts along each chain
+    y, y + a, y + 2a, ... into their running sums.  Refused once the
+    divisors times the atoms pass ``CELLS_CAP`` cells."""
+    ways = {0: 1}
+    for a in packed:
+        divisors = set(ways)
+        for y in ways:
+            z = y + a
+            while z not in divisors and minus(x, z) is not None:
+                divisors.add(z)
+                z += a
+            if len(divisors) * len(packed) > CELLS_CAP:
+                raise CapError(f"{len(divisors) * len(packed)} factorization-count cells exceed the cap {CELLS_CAP}")
+        chained: dict[int, int] = {}
+        for y in sorted(divisors):
+            rest = minus(y, a)
+            chained[y] = ways.get(y, 0) + (0 if rest is None else chained.get(rest, 0))
+        ways = chained
+    return ways.get(x, 0)
+
+
 def block_factorizations(
     group: FiniteAbelianGroup,
     g0: Iterable[Sequence[int]] | None,
     block: Block | Iterable[Sequence[int]],
 ) -> list[tuple[Block, ...]]:
     """All decompositions of a block into atoms, as canonically ordered
-    atom tuples.  Exact: only atoms dividing the block can appear."""
+    atom tuples.  Exact: only atoms dividing the block can appear.  They
+    are counted first and refused before listing past ``FACTORIZATIONS_CAP``."""
     x, _, atoms, packed, minus = _packed_atoms(group, g0, block)
+    count = _factorization_count(x, packed, minus)
+    if count > FACTORIZATIONS_CAP:
+        raise CapError(f"{count} factorizations exceed the cap {FACTORIZATIONS_CAP}")
     results: list[tuple[Block, ...]] = []
 
     def rec(remaining: int, start: int, chosen: list[Block]):
@@ -282,7 +310,7 @@ def _sweep_masks(group: FiniteAbelianGroup, length_cap: int) -> Iterator[int]:
         raise InputError(f"length cap must be >= 0, got {length_cap}")
     steps = math.comb(group.order + length_cap, length_cap) * length_cap
     if steps > SWEEP_CAP:
-        raise CapExceeded(f"{steps} sweep steps up to length {length_cap} exceed the cap {SWEEP_CAP}")
+        raise CapError(f"{steps} sweep steps up to length {length_cap} exceed the cap {SWEEP_CAP}")
     pack, _ = _packing(sorted(group.elements()), length_cap)
     atoms = [(a.length, pack(a.elements)) for a in minimal_zero_sum_atoms(group, None, length_cap)]
     return (mask for _, mask in _masks(atoms, length_cap, None))
@@ -384,7 +412,7 @@ def _tblock_atoms(spec: TBlockSpec, count_vectors: Iterable, n_vectors: int, max
     is strictly smaller.  Refused up front past SWEEP_CAP candidate pairs."""
     walk = n_vectors * math.prod(max(cap + 1, 0) for cap in t_caps)
     if walk > SWEEP_CAP:
-        raise CapExceeded(f"{walk} T-block candidates exceed the cap {SWEEP_CAP}")
+        raise CapError(f"{walk} T-block candidates exceed the cap {SWEEP_CAP}")
     t_fields = [(d, cap) for (d, _), cap in zip(spec.components, t_caps)]
     pack, remainder = _packing(spec.g0, max_count, t_fields)
     t_of_iota: dict[Element, list[tuple[int, ...]]] = {}
@@ -452,11 +480,11 @@ def tblock_length_set(
     if t_caps is not None and len(t_caps) != len(spec.components):
         raise InputError("one t-cap per component is required")
     if not tblock_validate(spec, e):
-        raise NotZeroSum("element is not a valid T-block")
+        raise InputError("element is not a valid T-block")
     if block_cap is not None and len(e.elements) > block_cap:
-        raise CapExceeded(f"block length {len(e.elements)} exceeds cap {block_cap}")
+        raise CapError(f"block length {len(e.elements)} exceeds cap {block_cap}")
     if t_caps is not None and any(ti > c for ti, c in zip(e.t, t_caps)):
-        raise CapExceeded("a t-coordinate exceeds its cap")
+        raise CapError("a t-coordinate exceeds its cap")
     counts = tuple(map(e.elements.count, spec.g0))
     count_vectors = itertools.product(*(range(c + 1) for c in counts))
     pack, remainder, atoms = _tblock_atoms(spec, count_vectors, math.prod(c + 1 for c in counts), len(e.elements), e.t)

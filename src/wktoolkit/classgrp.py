@@ -25,7 +25,7 @@ import itertools
 from collections import namedtuple
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
-from .errors import EmptyList, InputError, SizeCapExceeded
+from .errors import CapError, InputError
 from .groups import (
     FiniteAbelianGroup,
     combine_invariant_factors,
@@ -102,7 +102,7 @@ def truncated_unit_group(p: int, c: int) -> TruncatedUnitGroup:
     if c < 1:
         raise InputError(f"conductor {c} must be >= 1")
     if p ** (c - 1) > SIZE_CAP:
-        raise SizeCapExceeded(f"unit group of order {p}^{c - 1} exceeds cap {SIZE_CAP}")
+        raise CapError(f"unit group of order {p}^{c - 1} exceeds cap {SIZE_CAP}")
     return TruncatedUnitGroup(p, c)
 
 
@@ -270,7 +270,7 @@ def cv_direct_sum(
     """
     comps = tuple(monoids)
     if not comps:
-        raise EmptyList("direct sum of no components")
+        raise InputError("direct sum of no components")
     n = len(comps)
     if n == 1:
         s = comps[0]

@@ -40,7 +40,7 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from . import affine, blocks, classgrp, decide, factor, groups, hilbertian, numon
-from .errors import CapError, InputError, ToolkitError
+from .errors import CapError, InputError
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -574,9 +574,6 @@ def run(argv: list[str]) -> int:
     except MemoryError:
         _emit({"error": "input too large: out of memory", "kind": "cap"}, args.pretty)
         return EXIT_CAP
-    except ToolkitError as exc:
-        _emit({"error": str(exc), "kind": "error"}, args.pretty)
-        return EXIT_INPUT
     except ValueError as exc:
         _emit({"error": str(exc), "kind": "input"}, args.pretty)
         return EXIT_INPUT

@@ -50,7 +50,7 @@ import itertools
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import groups as grp
-from .errors import EmptyList, InputError
+from .errors import InputError
 from .groups import TorsionFreeGroupDescriptor, TypeWitness, is_prime
 from .numon import NumericalMonoid, from_generators, is_valuation
 
@@ -366,7 +366,7 @@ def read_monoid(text: str) -> MonoidDescriptor:
     if head == "affine" and sep:
         components = tuple(from_generators(_ints(part)) for part in rest.split(";") if part != "")
         if not components:
-            raise EmptyList("direct sum of no components")
+            raise InputError("direct sum of no components")
         return _sum_descriptor(components)
     if head == "custom" and sep:
         pairs = _pairs(rest, ";")

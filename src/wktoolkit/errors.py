@@ -1,8 +1,8 @@
-"""Exception hierarchy shared by all toolkit modules.
+"""The two errors of the toolkit, one per exit code of the CLI.
 
-Two branches matter for the CLI: InputError maps to exit code 2,
-CapError to exit code 3.  Everything derives from ToolkitError so
-callers can catch the whole family at once.
+InputError (exit 2) refuses invalid or inconsistent input; CapError
+(exit 3) refuses an input past a size or search cap instead of truncating
+the answer.  Both derive from ToolkitError, so one clause catches either.
 """
 
 
@@ -16,59 +16,3 @@ class InputError(ToolkitError):
 
 class CapError(ToolkitError):
     """A size or search cap was exceeded; the input was rejected, not truncated."""
-
-
-class EmptyGenerators(InputError):
-    pass
-
-
-class NonPositiveGenerator(InputError):
-    pass
-
-
-class GcdNotOne(InputError):
-    pass
-
-
-class NotInMonoid(InputError):
-    pass
-
-
-class EmptyList(InputError):
-    pass
-
-
-class NotZeroSum(InputError):
-    pass
-
-
-class BoundTooSmall(InputError):
-    pass
-
-
-class CarrierNotClosed(InputError):
-    pass
-
-
-class ZeroConstantTerm(InputError):
-    pass
-
-
-class DegreeTooSmall(InputError):
-    pass
-
-
-class ConstantPolynomial(InputError):
-    pass
-
-
-class SizeCapExceeded(CapError):
-    pass
-
-
-class GroupTooLarge(CapError):
-    pass
-
-
-class CapExceeded(CapError):
-    pass

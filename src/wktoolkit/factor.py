@@ -26,7 +26,7 @@ from itertools import accumulate
 from operator import or_
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import BoundTooSmall, InputError, NotInMonoid, SizeCapExceeded
+from .errors import CapError, InputError
 
 if TYPE_CHECKING:
     from .affine import AffineSumMonoid
@@ -74,7 +74,7 @@ def _factorization_count(s: NumericalMonoid, n: int) -> int:
     mod a into their running sums.  Refused past ``CELLS_CAP`` cells."""
     atoms = s.atoms
     if (n + 1) * len(atoms) > CELLS_CAP:
-        raise SizeCapExceeded(f"{(n + 1) * len(atoms)} factorization-count cells exceed the cap {CELLS_CAP}")
+        raise CapError(f"{(n + 1) * len(atoms)} factorization-count cells exceed the cap {CELLS_CAP}")
     ways = [1] + [0] * n
     for a in atoms:
         for r in range(min(a, n + 1)):
@@ -86,10 +86,10 @@ def factorizations(s: NumericalMonoid, n: int) -> list[Factorization]:
     """All solutions of sum(x_i * atom_i) = n with x >= 0, lexicographic;
     refused before listing when there are more than ``FACTORIZATIONS_CAP``."""
     if not s.contains(n):
-        raise NotInMonoid(f"{n} is not in {s}")
+        raise InputError(f"{n} is not in {s}")
     count = _factorization_count(s, n)
     if count > FACTORIZATIONS_CAP:
-        raise SizeCapExceeded(f"{count} factorizations exceed the cap {FACTORIZATIONS_CAP}")
+        raise CapError(f"{count} factorizations exceed the cap {FACTORIZATIONS_CAP}")
     atoms = s.atoms
     out: list[Factorization] = []
 
@@ -125,9 +125,9 @@ def length_masks(s: NumericalMonoid, bound: int) -> Iterator[tuple[int, int]]:
     size = min(top, bound + 1)
     width = bound // atoms[0] - _least_length(s, bound) + 1
     if (bound + 1) * len(atoms) > CELLS_CAP:
-        raise SizeCapExceeded(f"{(bound + 1) * len(atoms)} length-set cells exceed the cap {CELLS_CAP}")
+        raise CapError(f"{(bound + 1) * len(atoms)} length-set cells exceed the cap {CELLS_CAP}")
     if size * width > WINDOW_CAP:
-        raise SizeCapExceeded(f"a window of {size * width} bits exceeds the cap {WINDOW_CAP}")
+        raise CapError(f"a window of {size * width} bits exceeds the cap {WINDOW_CAP}")
     window = [0] * size
     for n in range(bound + 1):
         r = (n - 1) % top
@@ -164,7 +164,7 @@ def uk_union(masks: Iterable[int], k: int) -> tuple[int, ...]:
 
 def _mask(s: NumericalMonoid, n: int) -> int:
     if not s.contains(n):
-        raise NotInMonoid(f"{n} is not in {s}")
+        raise InputError(f"{n} is not in {s}")
     for _, mask in length_masks(s, n):
         pass
     return mask << _least_length(s, n)
@@ -178,7 +178,7 @@ def affine_length_set(gamma: AffineSumMonoid, vec: Sequence[int]) -> tuple[int, 
     """Length set of a vector in a direct sum: the sumset of the component
     length sets, since every atom lives in a single component."""
     if not gamma.contains(vec):
-        raise NotInMonoid(f"{tuple(vec)} is not in {gamma}")
+        raise InputError(f"{tuple(vec)} is not in {gamma}")
     total = 1
     for s, v in zip(gamma.components, vec):
         part = _mask(s, v)
@@ -203,7 +203,7 @@ def delta_monoid_bounded(s: NumericalMonoid, bound: int) -> BoundedResult:
     """Union of the distance sets of all elements up to ``bound``; an
     under-approximation of the distance set of the monoid."""
     if bound < s.conductor:
-        raise BoundTooSmall(f"bound {bound} is below the conductor {s.conductor}")
+        raise InputError(f"bound {bound} is below the conductor {s.conductor}")
     return BoundedResult(
         values=delta_union(mask for _, mask in length_masks(s, bound)),
         cap=bound,

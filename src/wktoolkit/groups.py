@@ -41,7 +41,7 @@ import math
 from collections import namedtuple
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import CapExceeded, CarrierNotClosed, InputError, SizeCapExceeded
+from .errors import CapError, InputError
 
 INF = float("inf")
 
@@ -72,7 +72,7 @@ def is_prime(n: int) -> bool:
     if n < 41 * 41:
         return True
     if n >= PRIME_TEST_CAP:
-        raise CapExceeded(f"primality of {n} is decided only below {PRIME_TEST_CAP}")
+        raise CapError(f"primality of {n} is decided only below {PRIME_TEST_CAP}")
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
     d = (n - 1) >> s
     for a in _SMALL_PRIMES + (41,):
@@ -285,15 +285,15 @@ def quotient_structure(
     """
     elems = list(carrier)
     if len(elems) > CARRIER_CAP:
-        raise SizeCapExceeded(f"carrier of size {len(elems)} exceeds cap {CARRIER_CAP}")
+        raise CapError(f"carrier of size {len(elems)} exceeds cap {CARRIER_CAP}")
     eset = set(elems)
     if len(eset) != len(elems):
-        raise CarrierNotClosed("carrier contains repeated elements")
+        raise InputError("carrier contains repeated elements")
 
     def checked(x, y):
         r = op(x, y)
         if r not in eset:
-            raise CarrierNotClosed(f"product of {x!r} and {y!r} left the carrier")
+            raise InputError(f"product of {x!r} and {y!r} left the carrier")
         return r
 
     if len(elems) <= _FULL_CLOSURE_LIMIT:
@@ -307,12 +307,12 @@ def quotient_structure(
             ident = x
             break
     if ident is None:
-        raise CarrierNotClosed("carrier has no identity element")
+        raise InputError("carrier has no identity element")
 
     gens = list(subgroup_generators)
     for g in gens:
         if g not in eset:
-            raise CarrierNotClosed(f"subgroup generator {g!r} is not in the carrier")
+            raise InputError(f"subgroup generator {g!r} is not in the carrier")
 
     sub = {ident}
     frontier = [ident]
@@ -326,7 +326,7 @@ def quotient_structure(
                     nxt.append(x)
         frontier = nxt
     if len(eset) % len(sub):
-        raise CarrierNotClosed("subgroup order does not divide carrier order")
+        raise InputError("subgroup order does not divide carrier order")
 
     coset_of: dict = {}
     reps = []
@@ -339,11 +339,11 @@ def quotient_structure(
             y = checked(x, h)
             prev = coset_of.get(y)
             if prev is not None and prev != cid:
-                raise CarrierNotClosed("cosets overlap; carrier is not a group")
+                raise InputError("cosets overlap; carrier is not a group")
             coset_of[y] = cid
     m = len(reps)
     if m * len(sub) != len(eset):
-        raise CarrierNotClosed("coset sizes are not uniform")
+        raise InputError("coset sizes are not uniform")
 
     id_cid = coset_of[ident]
     orders = []
@@ -354,7 +354,7 @@ def quotient_structure(
             y = checked(y, r)
             k += 1
             if k > m:
-                raise CarrierNotClosed("element order exceeds quotient order")
+                raise InputError("element order exceeds quotient order")
         orders.append(k)
     return FiniteAbelianGroup(_invariant_factors_from_orders(orders))
 
@@ -380,13 +380,13 @@ def _invariant_factors_from_orders(orders: list[int]) -> tuple[int, ...]:
         for k in range(1, len(counts)):
             ratio, rem = divmod(counts[k], counts[k - 1])
             if rem:
-                raise CarrierNotClosed("torsion counts are inconsistent; carrier is not a group")
+                raise InputError("torsion counts are inconsistent; carrier is not a group")
             a_k = 0
             while ratio % p == 0:
                 ratio //= p
                 a_k += 1
             if ratio != 1:
-                raise CarrierNotClosed("torsion counts are not p-power ratios; carrier is not a group")
+                raise InputError("torsion counts are not p-power ratios; carrier is not a group")
             if a_k:
                 heights.append(a_k)
         lam = [sum(1 for a in heights if a >= j) for j in range(1, (heights and max(heights) or 0) + 1)]
@@ -403,7 +403,7 @@ def _invariant_factors_from_orders(orders: list[int]) -> tuple[int, ...]:
         descending.append(d)
     factors = tuple(reversed(descending))
     if math.prod(factors) != m:
-        raise CarrierNotClosed("torsion counting does not account for the quotient order")
+        raise InputError("torsion counting does not account for the quotient order")
     return factors
 
 

@@ -6,7 +6,9 @@ with a_0 nonzero extends to an irreducible polynomial.  For prime fields
 this module searches constructively: candidate higher coefficients are
 enumerated degree by degree in lexicographic order, so a run is
 reproducible byte for byte, and a miss within ``max_degree`` only means no
-witness that small, never a disproof.
+witness that small, never a disproof.  The search refuses once
+``CANDIDATES_CAP`` candidates gave no witness, and every test refuses a
+degree past ``POWER_TEST_CAP`` for its p.
 
 Polynomials are coefficient tuples, constant term first, entries reduced
 mod p, leading coefficient nonzero.  Irreducibility is decided by the
@@ -17,25 +19,21 @@ is trivial for every prime q dividing n.
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
+from typing import Iterator
 
-from .errors import (
-    CapExceeded,
-    ConstantPolynomial,
-    DegreeTooSmall,
-    InputError,
-    ZeroConstantTerm,
-)
+from .errors import CapError, InputError
 from .groups import _factorint, is_prime
 
 Coeffs = tuple[int, ...]
 
-# largest degree the power test takes, refused before any arithmetic: its
-# cost grows like degree^3 times log p (over F_2 on a 2-vCPU VM, about 0.6 s
-# at degree 200 for a random polynomial and 1.5 s for one that runs every
-# step)
-DEGREE_CAP = 200
+# largest cost degree^3 * bits(p)^2 the power test takes, refused before any
+# arithmetic: degree 200 over F_2 and F_3, 152 over F_7, 32 over 10^9+7 and
+# 22 over 10^16+61.  Each runs every step within 4 s on a 2-vCPU VM; the
+# slowest, degree 200 over F_3, took 3.8 s, and degree 200 over F_2 1.4 s.
+POWER_TEST_CAP = 200**3 * 2**2
+# most candidates find_irreducible_with_prefix tests without a witness
+CANDIDATES_CAP = 1000
 
 
 class PrimePolynomial(namedtuple("PrimePolynomial", "p coefficients")):
@@ -131,11 +129,10 @@ def poly_gcd(a: Coeffs, b: Coeffs, p: int) -> Coeffs:
 def is_irreducible(f: PrimePolynomial) -> bool:
     """The finite-field power test."""
     if f.degree == 0:
-        raise ConstantPolynomial("irreducibility is about polynomials of degree >= 1")
+        raise InputError("irreducibility is about polynomials of degree >= 1")
     n = f.degree
-    if n > DEGREE_CAP:
-        raise CapExceeded(f"degree {n} exceeds the irreducibility test's cap {DEGREE_CAP}")
     p = f.p
+    _check_cost(f"degree {n}", n, p)
     x: Coeffs = (0, 1)
     mod = f.coefficients
     for q in _factorint(n):
@@ -145,6 +142,14 @@ def is_irreducible(f: PrimePolynomial) -> bool:
         if len(g) != 1:
             return False
     return poly_pow_mod(x, p ** n, mod, p) == poly_mod(x, mod, p)
+
+
+def _check_cost(what: str, n: int, p: int) -> None:
+    cost = n**3 * p.bit_length() ** 2
+    if cost > POWER_TEST_CAP:
+        raise CapError(
+            f"{what} over F_{p} costs {cost} = degree^3 * bits(p)^2, past the power test's cap {POWER_TEST_CAP}"
+        )
 
 
 def _poly_sub(a: Coeffs, b: Coeffs, p: int) -> Coeffs:
@@ -170,17 +175,29 @@ def find_irreducible_with_prefix(
     if any(a < 0 or a >= p for a in pre):
         raise InputError(f"prefix entries must lie in [0, {p})")
     if pre[0] == 0:
-        raise ZeroConstantTerm("the constant term of the prefix must be nonzero")
+        raise InputError("the constant term of the prefix must be nonzero")
     n = len(pre) - 1
     if max_degree <= n:
-        raise DegreeTooSmall(f"max_degree {max_degree} does not exceed the prefix degree {n}")
-    if max_degree > DEGREE_CAP:
-        raise CapExceeded(f"max_degree {max_degree} exceeds the irreducibility test's cap {DEGREE_CAP}")
+        raise InputError(f"max_degree {max_degree} does not exceed the prefix degree {n}")
+    _check_cost(f"max_degree {max_degree}", max_degree, p)
+    tested = 0
     for d in range(n + 1, max_degree + 1):
-        for tail in itertools.product(range(p), repeat=d - n):
-            if tail[-1] == 0:
-                continue
+        for tail in _tails(p, d - n):
+            if tested == CANDIDATES_CAP:
+                raise CapError(f"no witness among the first {CANDIDATES_CAP} candidates, the search's cap")
+            tested += 1
             cand = PrimePolynomial(p, pre + tail)
             if is_irreducible(cand):
                 return cand
     return None
+
+
+def _tails(p: int, k: int) -> Iterator[Coeffs]:
+    """The k-tuples over range(p) with a nonzero last entry, in lexicographic
+    order, without listing range(p) as ``itertools.product`` would."""
+    if k == 1:
+        yield from ((c,) for c in range(1, p))
+        return
+    for c in range(p):
+        for rest in _tails(p, k - 1):
+            yield (c, *rest)

@@ -26,14 +26,7 @@ from collections import namedtuple
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import (
-    EmptyGenerators,
-    GcdNotOne,
-    InputError,
-    NonPositiveGenerator,
-    NotInMonoid,
-    SizeCapExceeded,
-)
+from .errors import CapError, InputError
 
 # largest multiplicity from_generators and largest modulus apery_set accept; an Apéry set has that many entries
 MULTIPLICITY_CAP = 10**5
@@ -68,7 +61,7 @@ class NumericalMonoid(namedtuple("NumericalMonoid", "atoms apery")):
         # the genus: apery[r] // m gaps lie in the class of r (Selmer)
         genus = sum(w // m for w in self.apery)
         if genus > GAPS_CAP:
-            raise SizeCapExceeded(f"{genus} gaps exceed the cap {GAPS_CAP}")
+            raise CapError(f"{genus} gaps exceed the cap {GAPS_CAP}")
         return tuple(sorted(n for r, w in enumerate(self.apery) for n in range(r, w, m)))
 
     @property
@@ -117,14 +110,14 @@ def from_generators(gens: Iterable[int]) -> NumericalMonoid:
     """
     gen_list = sorted({int(g) for g in gens})
     if not gen_list:
-        raise EmptyGenerators("no generators given")
+        raise InputError("no generators given")
     if gen_list[0] <= 0:
-        raise NonPositiveGenerator(f"generator {gen_list[0]} is not positive")
+        raise InputError(f"generator {gen_list[0]} is not positive")
     if math.gcd(*gen_list) != 1:
-        raise GcdNotOne(f"gcd of {gen_list} is {math.gcd(*gen_list)}, not 1")
+        raise InputError(f"gcd of {gen_list} is {math.gcd(*gen_list)}, not 1")
     m = gen_list[0]
     if m > MULTIPLICITY_CAP:
-        raise SizeCapExceeded(f"multiplicity {m} exceeds the cap {MULTIPLICITY_CAP}")
+        raise CapError(f"multiplicity {m} exceeds the cap {MULTIPLICITY_CAP}")
 
     apery = [0] + [math.inf] * (m - 1)
     for g in gen_list[1:]:
@@ -185,9 +178,9 @@ def apery_set(s: NumericalMonoid, n: int) -> tuple[int, ...]:
     w < apery[(r - n) % m] + n.
     """
     if n == 0 or not s.contains(n):
-        raise NotInMonoid(f"{n} is not a nonzero element of {s}")
+        raise InputError(f"{n} is not a nonzero element of {s}")
     if n > MULTIPLICITY_CAP:
-        raise SizeCapExceeded(f"an Apéry set of {n} entries exceeds the cap {MULTIPLICITY_CAP}")
+        raise CapError(f"an Apéry set of {n} entries exceeds the cap {MULTIPLICITY_CAP}")
     ap, m = s.apery, s.multiplicity
     return tuple(sorted(w for r in range(m) for w in range(ap[r], ap[(r - n) % m] + n, m)))
 
@@ -275,7 +268,7 @@ def ideal_from_generators(owner: NumericalMonoid, gens: Iterable[int]) -> Monoid
     of the translates g + owner, whose least member ≡ r is g + apery[(r - g) % m]."""
     gen_list = sorted({int(g) for g in gens})
     if not gen_list:
-        raise EmptyGenerators("an ideal needs at least one generator")
+        raise InputError("an ideal needs at least one generator")
     ap, m = owner.apery, owner.multiplicity
     return MonoidIdeal(owner, tuple(min(g + ap[(r - g) % m] for g in gen_list) for r in range(m)))
 

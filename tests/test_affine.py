@@ -6,7 +6,7 @@ import pytest
 
 from wktoolkit import cli
 from wktoolkit.affine import AffineSumMonoid, atoms, direct_sum
-from wktoolkit.errors import EmptyList, InputError
+from wktoolkit.errors import InputError
 from wktoolkit.numon import from_generators
 
 
@@ -19,7 +19,7 @@ def test_direct_sum_contract_examples():
     assert both.contains((2, 3)) and both.contains((0, 0))
     assert not both.contains((1, 3))
     assert not both.contains((2, 4))
-    with pytest.raises(EmptyList):
+    with pytest.raises(InputError, match=r"^direct sum of no components$"):
         direct_sum([])
     with pytest.raises(InputError):
         both.contains((1, 2, 3))

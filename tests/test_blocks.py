@@ -25,8 +25,9 @@ from wktoolkit.blocks import (
     tblock_validate,
     uk_block_monoid,
 )
-from wktoolkit.blocks import _packing, _sweep_masks
-from wktoolkit.errors import CapError, CapExceeded, GroupTooLarge, InputError, NotZeroSum
+from wktoolkit import blocks
+from wktoolkit.blocks import _factorization_count, _packed_atoms, _packing, _sweep_masks
+from wktoolkit.errors import CapError, InputError
 from wktoolkit.factor import delta_of, delta_union, uk_union
 from wktoolkit.groups import FiniteAbelianGroup, cyclic
 from wktoolkit.numon import from_generators
@@ -103,7 +104,7 @@ def test_atom_length_bounded_by_group_order():
 
 
 def test_group_cap():
-    with pytest.raises(GroupTooLarge):
+    with pytest.raises(CapError, match=r"^group of order 65 exceeds cap 64$"):
         minimal_zero_sum_atoms(cyclic(65))
 
 
@@ -134,7 +135,7 @@ def test_block_lengths_contract_examples():
     b4 = Block.make(c2, [(1,), (1,), (1,), (1,)])
     assert block_length_set(c2, None, b4) == (2,)
 
-    with pytest.raises(NotZeroSum):
+    with pytest.raises(InputError, match=r"^elements sum to \(1,\), not zero$"):
         Block.make(c3, [(1,)])
 
 
@@ -229,7 +230,7 @@ def test_tblock_length_set_contract_examples():
     assert tblock_length_set(spec, TBlockElement.make(spec, [(1,)], (3,))).values == (1,)
     # ([1], 5) = ([1], 3) + ((), 2) only
     assert tblock_length_set(spec, TBlockElement.make(spec, [(1,)], (5,))).values == (2,)
-    with pytest.raises(NotZeroSum):
+    with pytest.raises(InputError, match=r"^element is not a valid T-block$"):
         tblock_length_set(spec, TBlockElement.make(spec, [(1,)], (2,)))
 
 
@@ -282,9 +283,7 @@ def test_tblock_zero_t_agrees_with_plain_blocks():
 
 def test_tblock_caps():
     spec = _c2_spec()
-    from wktoolkit.errors import CapExceeded
-
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapError, match=r"^block length 1 exceeds cap 0$"):
         tblock_length_set(spec, TBlockElement.make(spec, [(1,)], (3,)), block_cap=0)
     with pytest.raises(InputError):
         tblock_atoms_bounded(spec, 2, (1, 2))
@@ -330,6 +329,40 @@ def test_block_length_set_matches_factorization_oracle():
             assert block_length_set(g, None, elems) == _enumerated_block_length_set(g, None, elems), (facs, elems)
             g0 = sorted(set(g.reduce(e) for e in elems) | set(rng.sample(elements, 2 if len(elements) > 1 else 1)))
             assert block_length_set(g, g0, elems) == _enumerated_block_length_set(g, g0, elems), (facs, elems)
+
+
+def test_block_factorization_count_matches_the_listing():
+    c2, c3, c7 = cyclic(2), cyclic(3), cyclic(7)
+    cases = [
+        (c2, None, [(0,)] + [(1,)] * 6),
+        (c3, [(1,), (2,)], [(1,)] * 12 + [(2,)] * 3),
+        (c7, None, [(1,)] * 7),
+        (c7, None, [(i,) for i in range(1, 7) for _ in range(2)]),
+    ]
+    rng = random.Random(1995)
+    for facs in ((1,), (2,), (3,), (4,), (2, 2), (5,), (6,), (2, 4), (2, 2, 2)):
+        g = cyclic(facs[0]) if len(facs) == 1 else FiniteAbelianGroup(facs)
+        elements = sorted(g.elements())
+        for _ in range(8):
+            cases.append((g, None, _random_block(rng, g, elements, 10)))
+    for g, g0, elems in cases:
+        x, _, _, packed, minus = _packed_atoms(g, g0, elems)
+        assert _factorization_count(x, packed, minus) == len(block_factorizations(g, g0, elems)), (g, elems)
+
+
+def test_block_factorization_listing_is_capped_before_it_lists(monkeypatch, capsys):
+    c7 = cyclic(7)
+    elems = [(i,) for i in range(1, 7) for _ in range(6)]  # 187,069 factorizations
+    with pytest.raises(CapError, match=r"^187069 factorizations exceed the cap 100000$"):
+        block_factorizations(c7, None, elems)
+    argv = ["blocks", "factorizations", "--group", "7", "--element", ",".join(str(e) for (e,) in elems)]
+    assert cli.run(argv) == 3
+    assert capsys.readouterr().out == '{"error":"187069 factorizations exceed the cap 100000","kind":"cap"}\n'
+    # the count's own work, divisors times atoms, is capped too
+    monkeypatch.setattr(blocks, "CELLS_CAP", 100)
+    assert len(block_factorizations(c7, None, [(1,)] * 7)) == 1
+    with pytest.raises(CapError, match=r"factorization-count cells exceed the cap 100$"):
+        block_factorizations(c7, None, elems)
 
 
 def test_block_sweeps_match_per_block_oracle():
@@ -451,11 +484,11 @@ def test_deep_caps_need_no_recursion(capsys):
 
 def test_block_sweep_cap():
     # C(|G| + cap, cap) multisets of length up to cap: C(16, 8) * 8 = 102,960 steps for C8 at cap 8
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapError, match=r"^32954913472058245553574024631988550 sweep steps up to length 50 exceed the cap 1000000$"):
         delta_block_monoid(cyclic(64), 50)
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapError, match=r"^9617286240 sweep steps up to length 16 exceed the cap 1000000$"):
         uk_block_monoid(cyclic(16), 2, 16)  # C(32, 16) * 16 > 10**6
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapError, match=r"^999999000000 sweep steps up to length 999999 exceed the cap 1000000$"):
         delta_block_monoid(cyclic(1), 999999)  # 10**6 multisets, but 10**12 steps
     assert math.comb(16, 8) * 8 <= SWEEP_CAP < math.comb(32, 16) * 16
     assert delta_block_monoid(cyclic(2), 0).values == ()

@@ -10,9 +10,9 @@ from wktoolkit.classgrp import (
     truncated_unit_group,
 )
 from wktoolkit.decide import custom_domain, prime_field, read_domain
-from wktoolkit.errors import EmptyList, InputError, SizeCapExceeded
-from wktoolkit.groups import FiniteAbelianGroup
-from wktoolkit.numon import from_generators
+from wktoolkit.errors import CapError, InputError
+from wktoolkit.groups import FiniteAbelianGroup, smith_normal_form
+from wktoolkit.numon import enumerate_numerical_monoids, from_generators
 
 
 def _oracle_unit_quotient(p, c, monoid_members):
@@ -76,7 +76,7 @@ def test_truncated_unit_group_contract_examples():
     assert u.order == 2
     assert truncated_unit_group(3, 1).order == 1
     assert truncated_unit_group(3, 3).order == 9
-    with pytest.raises(SizeCapExceeded):
+    with pytest.raises(CapError, match=r"^unit group of order 2\^21 exceeds cap 1000000$"):
         truncated_unit_group(2, 22)
     with pytest.raises(InputError):
         truncated_unit_group(4, 2)
@@ -150,6 +150,66 @@ def test_cv_matches_oracle_on_family():
         assert (res.group.invariant_factors or (1,))[-1] == exponent
 
 
+def _discrete_log(p, c, u):
+    """Coordinates b_m (p not dividing m < c) of u = 1 + u_1 X + ... in
+    1 + X F_p[X]/(X^c), where u = prod (1 - X^m)^(b_m).  The lowest term
+    a X^k, k = m p^j, is peeled off by multiplying by (1 - X^m)^(a p^j),
+    which is (1 - X^k)^a in characteristic p."""
+    v, log = [1, *u], {m: 0 for m in range(1, c) if m % p}
+    for k in range(1, c):
+        a = v[k]
+        for _ in range(a):  # v *= 1 - X^k, truncated
+            for i in range(c - 1, k - 1, -1):
+                v[i] = (v[i] - v[i - k]) % p
+        m, pj = k, 1
+        while m % p == 0:
+            m, pj = m // p, pj * p
+        log[m] -= a * pj
+    return log
+
+
+def _class_group_by_discrete_logs(p, s):
+    """The invariant factors of the unit quotient by Smith normal form: the
+    generator 1 - X^m has order p^(e_m), e_m least with m p^e >= c, and the
+    relations are the logs of 1 + alpha X^t for t in s, 0 < t < c."""
+    c = s.conductor
+    ms = [m for m in range(1, c) if m % p]
+    rows = []
+    for i, m in enumerate(ms):
+        e = 0
+        while m * p**e < c:
+            e += 1
+        rows.append([p**e if j == i else 0 for j in range(len(ms))])
+    for t in range(1, c):
+        if s.contains(t):
+            for alpha in range(1, p):
+                log = _discrete_log(p, c, [alpha if i == t else 0 for i in range(1, c)])
+                rows.append([log[m] for m in ms])
+    return smith_normal_form(rows, len(ms)).invariant_factors
+
+
+def test_discrete_log_oracle_reads_the_coordinates():
+    # (1 - X)^3 (1 - X^2) over F_5 mod X^4 is 1 + 2X + 2X^2 + 2X^3; each
+    # 1 - X^m has order 5 there
+    log = _discrete_log(5, 4, [2, 2, 2])
+    assert {m: b % 5 for m, b in log.items()} == {1: 3, 2: 1, 3: 0}
+    # over F_2 mod X^4, 1 - X^2 = (1 - X)^2, where 1 - X has order 4
+    log = _discrete_log(2, 4, [0, 1, 0])
+    assert (log[1] % 4, log[3] % 2) == (2, 0)
+
+
+def test_cv_invariant_factors_match_discrete_log_oracle():
+    # every monoid with Frobenius number <= 9 whose unit group p^(c - 1) has at most 128 elements
+    cases = 0
+    for s in enumerate_numerical_monoids(9):
+        for p in (2, 3, 5):
+            if s.conductor and p ** (s.conductor - 1) <= 128:
+                cases += 1
+                expected = _class_group_by_discrete_logs(p, s)
+                assert cv_numerical_ring(p, s).group.invariant_factors == expected, (p, s)
+    assert cases == 36
+
+
 def test_class_group_result_validation():
     with pytest.raises(InputError):
         ClassGroupResult(group=None, infinite=False, method="x")
@@ -196,7 +256,7 @@ def test_cv_direct_sum_single_prime_field_computes():
 
 
 def test_cv_direct_sum_identity_and_errors():
-    with pytest.raises(EmptyList):
+    with pytest.raises(InputError, match=r"^direct sum of no components$"):
         cv_direct_sum([], prime_field(2))
     # a free monoid has a polynomial ring, trivial class group, over any domain
     assert cv_direct_sum([from_generators([1])], read_domain("z")).group == FiniteAbelianGroup(())

@@ -910,10 +910,35 @@ def test_large_primes_answer_at_once(capsys):
 
 
 def test_irreducibility_degree_cap_exits_at_once(capsys):
-    from wktoolkit.hilbertian import DEGREE_CAP
-
-    prefix = ",".join(["1"] * (DEGREE_CAP + 2))
+    # degree 201 over F_2 is the first past the power test's cost cap
+    prefix = ",".join(["1"] * 202)
     code, out = _run(capsys, ["hilbertian", "irreducible", "--p", "2", "--prefix", prefix])
     assert code == 3 and json.loads(out)["kind"] == "cap"
-    code, out = _run(capsys, ["hilbertian", "find", "--p", "2", "--prefix", "1", "--max-degree", str(DEGREE_CAP + 1)])
+    code, out = _run(capsys, ["hilbertian", "find", "--p", "2", "--prefix", "1", "--max-degree", "201"])
     assert code == 3 and json.loads(out)["kind"] == "cap"
+    # a search with no witness among its first candidates is refused, not run to the end
+    argv = ["hilbertian", "find", "--p", "10000000000000061", "--prefix", "1,0,0", "--max-degree", "3"]
+    code, out = _run(capsys, argv)
+    assert code == 3 and json.loads(out) == {
+        "error": "no witness among the first 1000 candidates, the search's cap",
+        "kind": "cap",
+    }
+
+
+def test_the_library_defines_one_error_per_exit_code():
+    import ast
+    import pathlib
+
+    from wktoolkit import errors
+
+    defined = {name for name, v in vars(errors).items() if isinstance(v, type) and issubclass(v, BaseException)}
+    assert defined == {"ToolkitError", "InputError", "CapError"}
+    assert errors.InputError.__bases__ == errors.CapError.__bases__ == (errors.ToolkitError,)
+    # no module of the package defines an exception class of its own
+    found = set()
+    for path in sorted(pathlib.Path(errors.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            bases = [b.id if isinstance(b, ast.Name) else getattr(b, "attr", "") for b in getattr(node, "bases", ())]
+            if isinstance(node, ast.ClassDef) and any(b.endswith(("Error", "Exception")) for b in bases):
+                found.add((path.name, node.name))
+    assert found == {("errors.py", "ToolkitError"), ("errors.py", "InputError"), ("errors.py", "CapError")}

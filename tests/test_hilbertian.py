@@ -2,15 +2,10 @@ import itertools
 
 import pytest
 
-from wktoolkit.errors import (
-    CapError,
-    ConstantPolynomial,
-    DegreeTooSmall,
-    InputError,
-    ZeroConstantTerm,
-)
+from wktoolkit.errors import CapError, InputError
 from wktoolkit.hilbertian import (
-    DEGREE_CAP,
+    CANDIDATES_CAP,
+    POWER_TEST_CAP,
     PrimePolynomial,
     find_irreducible_with_prefix,
     is_irreducible,
@@ -18,6 +13,7 @@ from wktoolkit.hilbertian import (
     poly_mod,
     poly_mul,
 )
+from wktoolkit.hilbertian import _tails
 from tests_support_trial_division import trial_division_irreducible
 
 
@@ -45,7 +41,7 @@ def test_is_irreducible_contract_examples():
     assert is_irreducible(PrimePolynomial(2, (1, 1, 1)))  # no roots in F_2
     assert not is_irreducible(PrimePolynomial(2, (1, 0, 1)))  # (X+1)^2
     assert is_irreducible(PrimePolynomial(3, (0, 1)))  # degree one
-    with pytest.raises(ConstantPolynomial):
+    with pytest.raises(InputError, match=r"^irreducibility is about polynomials of degree >= 1$"):
         is_irreducible(PrimePolynomial(3, (2,)))
 
 
@@ -93,9 +89,9 @@ def test_find_irreducible_not_found_is_not_a_disproof():
 
 
 def test_find_irreducible_errors():
-    with pytest.raises(ZeroConstantTerm):
+    with pytest.raises(InputError, match=r"^the constant term of the prefix must be nonzero$"):
         find_irreducible_with_prefix(2, (0, 1), 4)
-    with pytest.raises(DegreeTooSmall):
+    with pytest.raises(InputError, match=r"^max_degree 1 does not exceed the prefix degree 1$"):
         find_irreducible_with_prefix(2, (1, 1), 1)
     with pytest.raises(InputError):
         find_irreducible_with_prefix(6, (1,), 3)
@@ -118,12 +114,38 @@ def test_find_irreducible_deterministic():
 
 
 def test_degrees_past_the_cap_are_refused_before_any_arithmetic():
-    too_long = PrimePolynomial(2, (1,) * (DEGREE_CAP + 2))
-    assert too_long.degree == DEGREE_CAP + 1
-    with pytest.raises(CapError):
+    # the cap admits degree 200 over F_2 and F_3, where bits(p) = 2, and no more
+    assert 200**3 * 2**2 <= POWER_TEST_CAP < 201**3 * 2**2
+    too_long = PrimePolynomial(2, (1,) * 202)
+    assert too_long.degree == 201
+    with pytest.raises(CapError, match=r"^degree 201 over F_2 costs 32482404 = degree\^3 \* bits\(p\)\^2, past"):
         is_irreducible(too_long)
-    with pytest.raises(CapError):
-        find_irreducible_with_prefix(2, (1,), DEGREE_CAP + 1)
+    with pytest.raises(CapError, match=r"^max_degree 201 over F_2 costs 32482404 "):
+        find_irreducible_with_prefix(2, (1,), 201)
     # a prefix no shorter than max_degree is still the input error it was
-    with pytest.raises(DegreeTooSmall):
-        find_irreducible_with_prefix(2, (1,) * (DEGREE_CAP + 2), DEGREE_CAP + 1)
+    with pytest.raises(InputError, match=r"^max_degree 201 does not exceed the prefix degree 201$"):
+        find_irreducible_with_prefix(2, (1,) * 202, 201)
+    # the cost grows with the bit length of p: 23^3 * 54^2 > POWER_TEST_CAP >= 22^3 * 54^2
+    p = 10000000000000061
+    with pytest.raises(CapError, match=r"^degree 23 over F_10000000000000061 costs "):
+        is_irreducible(PrimePolynomial(p, (1,) * 24))
+    assert find_irreducible_with_prefix(p, (1, 1), 22).degree == 2
+
+
+def test_tails_are_walked_in_lexicographic_order_without_listing_the_field():
+    # at p = 5 the walk is the one itertools.product gives, zero leads skipped
+    for k in (1, 2, 3):
+        walked = list(_tails(5, k))
+        assert walked == [t for t in itertools.product(range(5), repeat=k) if t[-1]], k
+    # at a large p the first tail comes at once
+    assert next(_tails(10000000000000061, 3)) == (0, 0, 1)
+
+
+def test_a_search_without_a_witness_is_refused_after_the_candidate_cap():
+    # for p = 2 mod 3 every element is a cube, so no a X^3 + 1 is irreducible
+    p = 10000000000000061
+    assert p % 3 == 2
+    with pytest.raises(CapError, match=f"^no witness among the first {CANDIDATES_CAP} candidates, the search's cap$"):
+        find_irreducible_with_prefix(p, (1, 0, 0), 3)
+    # a search whose candidates run out first still reports no witness
+    assert find_irreducible_with_prefix(2, (1, 0), 2) is None

@@ -7,13 +7,13 @@ integer from 2 to sqrt(n) divides it)."""
 import itertools
 import math
 
-from wktoolkit.errors import ConstantPolynomial
+from wktoolkit.errors import InputError
 from wktoolkit.hilbertian import PrimePolynomial, poly_mod
 
 
 def trial_division_irreducible(f: PrimePolynomial) -> bool:
     if f.degree == 0:
-        raise ConstantPolynomial("irreducibility is about polynomials of degree >= 1")
+        raise InputError("irreducibility is about polynomials of degree >= 1")
     p = f.p
     for d in range(1, f.degree // 2 + 1):
         for lower in itertools.product(range(p), repeat=d):
