@@ -7,6 +7,13 @@ quotient of the truncated unit group 1 + X*F_p[X]/(X^c) by the subgroup
 generated by the units 1 + alpha*X^s with s in S, 0 < s < c and alpha
 nonzero: the standard conductor-square computation for one-dimensional
 orders.  This module computes that quotient by full coset enumeration.
+The denominator is grown from {1} one generating unit at a time: since the
+unit group is finite abelian, adding a unit g to a subgroup H gives the
+union of the cosets H g^k for k below the order of g modulo H, built in as
+many products as the new subgroup has elements.  The quotient's generators
+are picked the same way: the first unit, in coefficient order, outside the
+subgroup grown so far is recorded and added to it, until every unit lies
+in it.
 
 For direct sums of numerical monoids the class group decomposes into
 component class groups over a rational function field in one variable
@@ -23,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .errors import CapError, InputError
 from .groups import (
@@ -101,7 +108,9 @@ def truncated_unit_group(p: int, c: int) -> TruncatedUnitGroup:
         raise InputError(f"{p} is not prime")
     if c < 1:
         raise InputError(f"conductor {c} must be >= 1")
-    if p ** (c - 1) > SIZE_CAP:
+    # p >= 2, so past SIZE_CAP's bit length p^(c - 1) exceeds the cap
+    # without computing the power
+    if c - 1 > SIZE_CAP.bit_length() or p ** (c - 1) > SIZE_CAP:
         raise CapError(f"unit group of order {p}^{c - 1} exceeds cap {SIZE_CAP}")
     return TruncatedUnitGroup(p, c)
 
@@ -157,20 +166,34 @@ _TRIVIAL = ClassGroupResult(
 _INFINITE = ClassGroupResult(group=None, infinite=True, method="cited-rule", citation=RULE_PIC_INFINITE)
 
 
-def _closure(op: Callable, seed: Iterable) -> set:
-    gens = list(seed)
-    out = set(gens)
-    frontier = list(gens)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = op(x, g)
-                if y not in out:
-                    out.add(y)
-                    nxt.append(y)
-        frontier = nxt
+def _extend(op: Callable, subgroup: set, g) -> set:
+    """The subgroup generated by ``subgroup`` and ``g`` in a finite abelian
+    group: the union of the cosets subgroup * g^k for k below the order of g
+    modulo the subgroup, in as many products as it has elements.  The
+    subgroup itself comes back when it contains g."""
+    if g in subgroup:
+        return subgroup
+    out = set(subgroup)
+    power = g
+    while power not in subgroup:
+        out.update(op(h, power) for h in subgroup)
+        power = op(power, g)
     return out
+
+
+def _denominator(u: TruncatedUnitGroup, s: NumericalMonoid) -> tuple[list, set]:
+    """The units 1 + alpha X^t with t in s, 0 < t < c and alpha nonzero,
+    and the subgroup they generate, grown from {1} one unit at a time."""
+    gens = [
+        u.unit_with_term(alpha, t)
+        for t in range(1, u.c)
+        if s.contains(t)
+        for alpha in range(1, u.p)
+    ]
+    denom = {u.identity}
+    for g in gens:
+        denom = _extend(u.op, denom, g)
+    return gens, denom
 
 
 def cv_numerical_ring(p: int, s: NumericalMonoid) -> ClassGroupResult:
@@ -182,13 +205,7 @@ def cv_numerical_ring(p: int, s: NumericalMonoid) -> ClassGroupResult:
     if c == 0:
         return _TRIVIAL
     u = truncated_unit_group(p, c)
-    gens = [
-        u.unit_with_term(alpha, t)
-        for t in range(1, c)
-        if s.contains(t)
-        for alpha in range(1, p)
-    ]
-    denom = _closure(u.op, gens) if gens else {u.identity}
+    gens, denom = _denominator(u, s)
     # explicit subgroup verification before quotienting
     if len(denom) ** 2 <= 4 * SIZE_CAP:
         for h1 in denom:
@@ -203,14 +220,12 @@ def cv_numerical_ring(p: int, s: NumericalMonoid) -> ClassGroupResult:
         raise AssertionError("coset count does not match the subgroup index")
 
     descriptions = []
-    chosen: list[tuple[int, ...]] = []
-    current = set(denom)
+    current = denom
     if quotient.order > 1:
         for cand in u.elements:
             if cand not in current:
-                chosen.append(cand)
                 descriptions.append(u.describe(cand))
-                current = _closure(u.op, gens + chosen)
+                current = _extend(u.op, current, cand)
             if len(current) == u.order:
                 break
     return ClassGroupResult(

@@ -1,10 +1,14 @@
 import itertools
+import random
 
 import pytest
+from tests_support_random import random_numerical_monoid
 
 from wktoolkit.classgrp import (
     ClassGroupResult,
     DirectSumClassGroup,
+    _denominator,
+    _extend,
     cv_direct_sum,
     cv_numerical_ring,
     truncated_unit_group,
@@ -71,6 +75,76 @@ def _oracle_unit_quotient(p, c, monoid_members):
     return len(reps), sorted(orders)
 
 
+def _closure(op, seed):
+    """Breadth-first closure of ``seed`` under ``op``: in a finite group, the
+    subgroup the seed generates (empty for an empty seed)."""
+    gens = list(seed)
+    out = set(gens)
+    frontier = list(gens)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = op(x, g)
+                if y not in out:
+                    out.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return out
+
+
+def _generators_by_closure(u, units):
+    """The quotient generators picked as ``cv_numerical_ring`` picks them,
+    first element of the unit group outside the subgroup so far, with the
+    subgroup closed off again over all units and picks after every pick."""
+    current = _closure(u.op, units) if units else {u.identity}
+    chosen, descriptions = [], []
+    for cand in u.elements:
+        if len(current) == u.order:
+            break
+        if cand not in current:
+            chosen.append(cand)
+            descriptions.append(u.describe(cand))
+            current = _closure(u.op, units + chosen)
+    return tuple(descriptions)
+
+
+def test_extend_matches_the_closure_oracle_on_finite_abelian_groups():
+    rng = random.Random(20)
+    for factors in ((2, 4), (3, 9), (2, 2, 4)):
+        group = FiniteAbelianGroup(factors)
+        elems = list(group.elements())
+        for _ in range(40):
+            seed = rng.sample(elems, rng.randint(1, 3))
+            sub = _closure(group.add, seed)
+            grown = {group.zero()}
+            for x in seed:
+                grown = _extend(group.add, grown, x)
+            assert grown == sub, (factors, seed)
+            g = rng.choice(elems)
+            assert _extend(group.add, sub, g) == _closure(group.add, seed + [g]), (factors, seed, g)
+            assert _extend(group.add, sub, rng.choice(sorted(sub))) is sub
+
+
+def test_denominator_and_generators_match_the_closure_oracle():
+    # one monoid from each point-queries class-group band (F_2 at conductor
+    # 12, F_3 and F_5 at 6, F_2 at 10), then random ones with p^(c - 1) <= 5000
+    cases = [(2, [3, 13, 14]), (3, [3, 4]), (5, [3, 4]), (2, [4, 6, 11, 13])]
+    rng = random.Random(20)
+    while len(cases) < 24:
+        p, s = rng.choice((2, 3, 5, 7)), random_numerical_monoid(rng)
+        if s.conductor and p ** (s.conductor - 1) <= 5000:
+            cases.append((p, list(s.atoms)))
+    for p, atoms in cases:
+        s = from_generators(atoms)
+        u = truncated_unit_group(p, s.conductor)
+        units, denom = _denominator(u, s)
+        members = [t for t in range(1, s.conductor) if s.contains(t)]
+        assert units == [u.unit_with_term(alpha, t) for t in members for alpha in range(1, p)]
+        assert denom == (_closure(u.op, units) if units else {u.identity}), (p, atoms)
+        assert cv_numerical_ring(p, s).generators == _generators_by_closure(u, units), (p, atoms)
+
+
 def test_truncated_unit_group_contract_examples():
     u = truncated_unit_group(2, 2)
     assert u.order == 2
@@ -80,6 +154,23 @@ def test_truncated_unit_group_contract_examples():
         truncated_unit_group(2, 22)
     with pytest.raises(InputError):
         truncated_unit_group(4, 2)
+
+
+def test_unit_group_cap_is_checked_before_the_power():
+    class Prime(int):
+        def __pow__(self, exponent):
+            raise AssertionError(f"computed p^{exponent}")
+
+    # at conductor 999,000 the power over 10^16 + 61 has about 53 million bits
+    message = r"^unit group of order 10000000000000061\^998999 exceeds cap 1000000$"
+    with pytest.raises(CapError, match=message):
+        truncated_unit_group(Prime(10000000000000061), 999_000)
+    with pytest.raises(CapError, match=message):
+        cv_numerical_ring(10000000000000061, from_generators([1000, 1001]))
+    # at the cap's bit length the power itself decides
+    assert truncated_unit_group(2, 20).order == 2**19
+    with pytest.raises(CapError, match=r"^unit group of order 2\^20 exceeds cap 1000000$"):
+        truncated_unit_group(2, 21)
 
 
 def test_truncated_unit_group_is_a_group():
