@@ -19,10 +19,13 @@ element and per t-coordinate.  Length sets never list factorizations: one
 kernel pushes length masks up from the empty element in order of size,
 ORing the mask of y shifted by one into y + a for each atom a whose lowest
 set bit is no higher than that of y.  The length set of one element
-streams it up to the element through the element's divisors only; the
-monoid-level sweeps take every block up to the length cap (refused up
-front past SWEEP_CAP steps).  T-block atoms come from one sieve over
-candidates in order of size.
+streams it up to the element through the element's divisors only
+(refused up front past SWEEP_CAP sub-multisets); the monoid-level sweeps
+take every block up to the length cap (refused up front past SWEEP_CAP
+steps).  The factorizations of one block are counted by coin change over
+its divisors, and listed, without recursion, by walking the divisor sets
+that count leaves.  T-block atoms come from one sieve over candidates in
+order of size.
 Distance and U_k sets are read off the masks as in the factorization
 module and reported as capped under-approximations.  Length sets and
 factorizations of one element are exact: every atom of a factorization
@@ -204,13 +207,15 @@ def _packed_atoms(
     return x, block.length, atoms, [pack(a.elements) for a in atoms], minus
 
 
-def _factorization_count(x: int, packed: list[int], minus: Callable) -> int:
+def _factorization_count(x: int, packed: list[int], minus: Callable) -> tuple[int, list[set[int]]]:
     """The number of factorizations of the packed block x, counted one atom
     at a time (coin change over the divisors of x that are sums of the
     atoms taken so far): taking atom a turns the counts along each chain
-    y, y + a, y + 2a, ... into their running sums.  Refused once the
+    y, y + a, y + 2a, ... into their running sums.  Also returns those
+    divisor sets, one per atom prefix ``packed[:i + 1]``.  Refused once the
     divisors times the atoms pass ``CELLS_CAP`` cells."""
     ways = {0: 1}
+    prefixes = []
     for a in packed:
         divisors = set(ways)
         for y in ways:
@@ -225,7 +230,8 @@ def _factorization_count(x: int, packed: list[int], minus: Callable) -> int:
             rest = minus(y, a)
             chained[y] = ways.get(y, 0) + (0 if rest is None else chained.get(rest, 0))
         ways = chained
-    return ways.get(x, 0)
+        prefixes.append(divisors)
+    return ways.get(x, 0), prefixes
 
 
 def block_factorizations(
@@ -235,26 +241,32 @@ def block_factorizations(
 ) -> list[tuple[Block, ...]]:
     """All decompositions of a block into atoms, as canonically ordered
     atom tuples.  Exact: only atoms dividing the block can appear.  They
-    are counted first and refused before listing past ``FACTORIZATIONS_CAP``."""
+    are counted first and refused before listing past ``FACTORIZATIONS_CAP``.
+
+    The listing walks the count's divisor sets from the last atom down:
+    c copies of atom i are taken only when what is left is a sum of the
+    earlier atoms, so no branch is dead, and the first atom's count is the
+    quotient of what is left.  Exponent vectors in descending order are
+    the atom tuples in ascending order."""
     x, _, atoms, packed, minus = _packed_atoms(group, g0, block)
-    count = _factorization_count(x, packed, minus)
+    count, prefixes = _factorization_count(x, packed, minus)
     if count > FACTORIZATIONS_CAP:
         raise CapError(f"{count} factorizations exceed the cap {FACTORIZATIONS_CAP}")
-    results: list[tuple[Block, ...]] = []
-
-    def rec(remaining: int, start: int, chosen: list[Block]):
-        if not remaining:
-            results.append(tuple(chosen))
-            return
-        for j in range(start, len(atoms)):
-            rest = minus(remaining, packed[j])
-            if rest is not None:
-                chosen.append(atoms[j])
-                rec(rest, j, chosen)
-                chosen.pop()
-
-    rec(x, 0, [])
-    return results
+    if not packed:  # only the empty block has no atom dividing it
+        return [()]
+    found = []
+    stack = [(len(packed) - 1, x, ())]
+    while stack:
+        i, rest, tail = stack.pop()
+        if i == 0:
+            found.append((rest // packed[0],) + tail)
+            continue
+        c, left = 0, rest
+        while left is not None:
+            if left in prefixes[i - 1]:
+                stack.append((i - 1, left, (c,) + tail))
+            c, left = c + 1, minus(left, packed[i])
+    return [tuple(a for a, c in zip(atoms, cs) for _ in range(c)) for cs in sorted(found, reverse=True)]
 
 
 def _masks(atoms: Iterable[tuple[int, int]], top: int, fits: Callable[[int], bool] | None) -> Iterator[tuple[int, int]]:
@@ -295,6 +307,16 @@ def block_length_set(
     g0: Iterable[Sequence[int]] | None,
     block: Block | Iterable[Sequence[int]],
 ) -> tuple[int, ...]:
+    """Lengths of all factorizations of a block.  The walk visits the
+    block's divisors, so it is refused up front when the sub-multisets of
+    the block, the product of (multiplicity + 1) over its elements, pass
+    ``SWEEP_CAP``, as the T-block walk is."""
+    _check_group(group)
+    if not isinstance(block, Block):
+        block = Block.make(group, block)
+    walk = math.prod(c + 1 for c in block.multiplicities().values())
+    if walk > SWEEP_CAP:
+        raise CapError(f"{walk} sub-multisets of the block exceed the cap {SWEEP_CAP}")
     x, length, atoms, packed, minus = _packed_atoms(group, g0, block)
     masks = _masks(((a.length, p) for a, p in zip(atoms, packed)), length, lambda z: minus(x, z) is not None)
     return lengths_of(next(mask for y, mask in masks if y == x))
@@ -464,27 +486,15 @@ class TBlockLengthResult(NamedTuple):
     note: str = "exact: atoms in any factorization divide the element itself"
 
 
-def tblock_length_set(
-    spec: TBlockSpec,
-    e: TBlockElement,
-    block_cap: int | None = None,
-    t_caps: Sequence[int] | None = None,
-) -> TBlockLengthResult:
+def tblock_length_set(spec: TBlockSpec, e: TBlockElement) -> TBlockLengthResult:
     """Lengths of all factorizations of a valid element into atoms.
 
-    Exact regardless of caps: every atom of a factorization lies below the
-    element, so the atoms are sieved from the valid elements below it.
-    The optional caps only reject oversized inputs.
+    Exact: every atom of a factorization lies below the element, so the
+    atoms are sieved from the valid elements below it.
     """
     _check_group(spec.group)
-    if t_caps is not None and len(t_caps) != len(spec.components):
-        raise InputError("one t-cap per component is required")
     if not tblock_validate(spec, e):
         raise InputError("element is not a valid T-block")
-    if block_cap is not None and len(e.elements) > block_cap:
-        raise CapError(f"block length {len(e.elements)} exceeds cap {block_cap}")
-    if t_caps is not None and any(ti > c for ti, c in zip(e.t, t_caps)):
-        raise CapError("a t-coordinate exceeds its cap")
     counts = tuple(map(e.elements.count, spec.g0))
     count_vectors = itertools.product(*(range(c + 1) for c in counts))
     pack, remainder, atoms = _tblock_atoms(spec, count_vectors, math.prod(c + 1 for c in counts), len(e.elements), e.t)

@@ -33,12 +33,7 @@ from collections import namedtuple
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .errors import CapError, InputError
-from .groups import (
-    FiniteAbelianGroup,
-    combine_invariant_factors,
-    is_prime,
-    quotient_structure,
-)
+from .groups import FiniteAbelianGroup, is_prime, quotient_structure
 from .numon import NumericalMonoid
 
 if TYPE_CHECKING:
@@ -247,11 +242,9 @@ class DirectSumClassGroup(NamedTuple):
         return any(c.infinite for c in self.components)
 
     def combined_finite_group(self) -> FiniteAbelianGroup | None:
-        if self.is_infinite:
-            return None
-        return FiniteAbelianGroup(
-            combine_invariant_factors(*(c.group.invariant_factors for c in self.components))
-        )
+        # ``cv_direct_sum`` makes each component trivial or infinite, so a
+        # finite sum is trivial
+        return None if self.is_infinite else FiniteAbelianGroup(())
 
     def to_json(self) -> dict:
         out = {

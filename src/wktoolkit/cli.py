@@ -13,10 +13,11 @@ may start with ``-``), so a missing flag, a flag the action does not read
 and a non-integer value of an integer flag exit 2 with the usage on
 stderr; ``wkt SUB ACTION --help`` prints an action's usage line.
 
-The cache is an append-only file of one JSON record per line, keyed by the
-canonical serialized request plus the package version.  Corrupt lines are
-skipped with a warning; an unwritable cache directory disables caching but
-never the computation.  The directory comes from ``--cache-dir`` or, when
+The cache is an append-only file of one JSON record per line, holding the
+key, the payload and the exit code; the key is the canonical serialized
+request plus the package version.  Corrupt lines are skipped with a
+warning; an unwritable cache directory disables caching but never the
+computation.  The directory comes from ``--cache-dir`` or, when
 absent, the WKT_CACHE_DIR environment variable; with neither, no cache is
 used.
 
@@ -431,15 +432,7 @@ def cache_get(cache_dir: str, key: str) -> dict | None:
 
 
 def cache_put(cache_dir: str, key: str, payload: dict, exit_code: int) -> None:
-    import time
-
-    record = {
-        "key": key,
-        "payload": payload,
-        "exit_code": exit_code,
-        "provenance": {"tool": "wkt", "version": __version__},
-        "timestamp": time.time(),
-    }
+    record = {"key": key, "payload": payload, "exit_code": exit_code}
     try:
         os.makedirs(cache_dir, exist_ok=True)
         with open(_cache_path(cache_dir), "a", encoding="utf-8") as fh:
@@ -565,11 +558,6 @@ def run(argv: list[str]) -> int:
         return EXIT_INPUT
     except CapError as exc:
         _emit({"error": str(exc), "kind": "cap"}, args.pretty)
-        return EXIT_CAP
-    except RecursionError:
-        # length sets are iterative; only the factorization listings recurse,
-        # numerical ones once per atom, block ones once per atom taken off
-        _emit({"error": "input too large: recursion depth exceeded", "kind": "cap"}, args.pretty)
         return EXIT_CAP
     except MemoryError:
         _emit({"error": "input too large: out of memory", "kind": "cap"}, args.pretty)

@@ -2,12 +2,14 @@
 
 ``factorizations`` enumerates every way to write an element as a
 nonnegative combination of the atoms, in lexicographic order of exponent
-vectors, so output is deterministic and byte-stable; it counts them first
-and refuses more than ``FACTORIZATIONS_CAP``.  Length sets do not
-enumerate: ``length_masks`` holds them as bitmasks, computed bottom-up for
-all elements up to a bound, with its size capped before it allocates.
-``delta_union`` and ``uk_union`` read distance sets and U_k off the masks,
-for the block monoids too.
+vectors, so output is deterministic and byte-stable.  One coin-change
+table serves both count and listing: the count refuses more than
+``FACTORIZATIONS_CAP`` before listing, and the listing walks the table
+without recursion, taking only exponents that lead to a factorization.
+Length sets do not enumerate: ``length_masks`` holds them as bitmasks,
+computed bottom-up for all elements up to a bound, with its size capped
+before it allocates.  ``delta_union`` and ``uk_union`` read distance sets
+and U_k off the masks, for the block monoids too.
 
 Distance sets and U_k of a whole monoid are unions over every element, so
 the monoid-level operations take an explicit element bound and return a
@@ -68,42 +70,52 @@ class BoundedResult(NamedTuple):
         return out
 
 
-def _factorization_count(s: NumericalMonoid, n: int) -> int:
+def _factorization_count(s: NumericalMonoid, n: int) -> tuple[int, list[bytes]]:
     """The number of factorizations of n, counted one atom at a time
     (coin change): taking atom a turns the counts of each residue class
-    mod a into their running sums.  Refused past ``CELLS_CAP`` cells."""
+    mod a into their running sums.  Also returns, after each atom, which
+    of 0..n the atoms so far reach: byte m of ``reach[i]`` is 1 iff m is a
+    sum of ``atoms[:i + 1]``.  Refused past ``CELLS_CAP`` cells, which
+    bounds the bytes kept too."""
     atoms = s.atoms
     if (n + 1) * len(atoms) > CELLS_CAP:
         raise CapError(f"{(n + 1) * len(atoms)} factorization-count cells exceed the cap {CELLS_CAP}")
     ways = [1] + [0] * n
+    reach = []
     for a in atoms:
         for r in range(min(a, n + 1)):
             ways[r::a] = accumulate(ways[r::a])
-    return ways[n]
+        reach.append(bytes(map(bool, ways)))
+    return ways[n], reach
 
 
 def factorizations(s: NumericalMonoid, n: int) -> list[Factorization]:
     """All solutions of sum(x_i * atom_i) = n with x >= 0, lexicographic;
-    refused before listing when there are more than ``FACTORIZATIONS_CAP``."""
+    refused before listing when there are more than ``FACTORIZATIONS_CAP``.
+
+    The listing walks the count's table from the largest atom down: an
+    exponent x of atom i is taken only when the smaller atoms reach the
+    remainder, so no branch is dead, and the smallest atom's exponent is
+    the quotient of what is left."""
     if not s.contains(n):
         raise InputError(f"{n} is not in {s}")
-    count = _factorization_count(s, n)
+    count, reach = _factorization_count(s, n)
     if count > FACTORIZATIONS_CAP:
         raise CapError(f"{count} factorizations exceed the cap {FACTORIZATIONS_CAP}")
     atoms = s.atoms
-    out: list[Factorization] = []
-
-    def rec(i: int, remaining: int, prefix: tuple[int, ...]):
-        if i == len(atoms) - 1:
-            q, r = divmod(remaining, atoms[i])
-            if r == 0:
-                out.append(Factorization(prefix + (q,)))
-            return
-        for x in range(remaining // atoms[i] + 1):
-            rec(i + 1, remaining - x * atoms[i], prefix + (x,))
-
-    rec(0, n, ())
-    return out
+    found = []
+    stack = [(len(atoms) - 1, n, ())]
+    while stack:
+        i, rest, tail = stack.pop()
+        if i == 0:
+            found.append((rest // atoms[0],) + tail)
+            continue
+        column = reach[i - 1][rest :: -atoms[i]]  # byte x: do the smaller atoms reach rest - x * atoms[i]?
+        x = column.find(1)
+        while x >= 0:
+            stack.append((i - 1, rest - x * atoms[i], (x,) + tail))
+            x = column.find(1, x + 1)
+    return [Factorization(e) for e in sorted(found)]
 
 
 def _least_length(s: NumericalMonoid, n: int) -> int:

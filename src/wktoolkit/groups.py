@@ -167,14 +167,6 @@ def _factorint(n: int) -> dict[int, int]:
     return out
 
 
-def combine_invariant_factors(*factor_lists: Sequence[int]) -> tuple[int, ...]:
-    """Invariant factors of the direct sum of groups given by invariant
-    factors: the Smith normal form of the diagonal matrix of all of them."""
-    factors = [int(d) for facs in factor_lists for d in facs]
-    diagonal = [[d if i == j else 0 for j in range(len(factors))] for i, d in enumerate(factors)]
-    return smith_normal_form(diagonal).invariant_factors
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 

@@ -283,13 +283,8 @@ def test_tblock_zero_t_agrees_with_plain_blocks():
 
 def test_tblock_caps():
     spec = _c2_spec()
-    with pytest.raises(CapError, match=r"^block length 1 exceeds cap 0$"):
-        tblock_length_set(spec, TBlockElement.make(spec, [(1,)], (3,)), block_cap=0)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError):  # one cap per component
         tblock_atoms_bounded(spec, 2, (1, 2))
-    for t_caps in ((), (3, 3)):  # one cap per component, as for the atoms
-        with pytest.raises(InputError):
-            tblock_length_set(spec, TBlockElement.make(spec, [(1,)], (3,)), t_caps=t_caps)
 
 
 def _random_block(rng, group, support, max_len):
@@ -347,7 +342,46 @@ def test_block_factorization_count_matches_the_listing():
             cases.append((g, None, _random_block(rng, g, elements, 10)))
     for g, g0, elems in cases:
         x, _, _, packed, minus = _packed_atoms(g, g0, elems)
-        assert _factorization_count(x, packed, minus) == len(block_factorizations(g, g0, elems)), (g, elems)
+        assert _factorization_count(x, packed, minus)[0] == len(block_factorizations(g, g0, elems)), (g, elems)
+
+
+def _block_factorizations_by_recursion(group, g0, elems):
+    # the recursive search the table walk replaced: atoms taken in
+    # nondecreasing order, each while it divides what is left
+    x, _, atoms, packed, minus = _packed_atoms(group, g0, elems)
+    results = []
+
+    def rec(remaining, start, chosen):
+        if not remaining:
+            results.append(tuple(chosen))
+            return
+        for j in range(start, len(atoms)):
+            rest = minus(remaining, packed[j])
+            if rest is not None:
+                chosen.append(atoms[j])
+                rec(rest, j, chosen)
+                chosen.pop()
+
+    rec(x, 0, [])
+    return results
+
+
+def test_block_factorization_walk_matches_the_recursive_oracle():
+    rng = random.Random(2017)
+    several = 0
+    for facs in _chains(12):
+        g = FiniteAbelianGroup(facs)
+        elements = sorted(g.elements())
+        for _ in range(16):
+            elems = _random_block(rng, g, elements, 10)
+            g0 = sorted(set(g.reduce(e) for e in elems) | set(rng.sample(elements, min(2, len(elements)))))
+            for support in (None, g0):
+                listed = block_factorizations(g, support, elems)
+                assert listed == _block_factorizations_by_recursion(g, support, elems), (facs, support, elems)
+                x, _, _, packed, minus = _packed_atoms(g, support, elems)
+                assert _factorization_count(x, packed, minus)[0] == len(listed), (facs, support, elems)
+                several += len(listed) > 1
+    assert several > 150
 
 
 def test_block_factorization_listing_is_capped_before_it_lists(monkeypatch, capsys):
@@ -592,6 +626,18 @@ def test_tblock_walk_past_the_sweep_cap_is_refused_at_once():
     with pytest.raises(CapError):
         tblock_length_set(spec, TBlockElement.make(spec, [], (6 * 10**9,)))  # 6 * 10**9 + 1 vectors
     assert len(tblock_atoms_bounded(spec, 3, (5,)).atoms) > 0  # C(9, 3) * 6 candidates: well under the cap
+
+
+def test_block_length_set_past_the_sweep_cap_is_refused_at_once(capsys):
+    # the walk visits the block's divisors: at most the product of (multiplicity + 1)
+    c222 = FiniteAbelianGroup((2, 2, 2))
+    nonzero = [e for e in sorted(c222.elements()) if any(e)]
+    assert block_length_set(c222, None, nonzero * 6) == tuple(range(11, 22))  # 7**6 sub-multisets
+    with pytest.raises(CapError, match=r"^4782969 sub-multisets of the block exceed the cap 1000000$"):
+        block_length_set(c222, None, nonzero * 8)
+    element = ",".join(":".join(map(str, e)) for e in nonzero * 12)
+    assert cli.run(["blocks", "lengths", "--group", "2,2,2", "--element", element]) == 3
+    assert capsys.readouterr().out == '{"error":"62748517 sub-multisets of the block exceed the cap 1000000","kind":"cap"}\n'
 
 
 def test_pool_tblock_answers_match_their_references(monkeypatch):

@@ -169,16 +169,22 @@ def test_parse_errors_end_in_one_json_document(capsys):
         assert "usage: wkt" in captured.err, argv
 
 
-def test_recursion_depth_is_a_cap(capsys):
-    ones = ",".join(["1"] * 2400)
-    gens = ",".join(str(g) for g in range(1000, 2000))
-    for argv in (
-        ["blocks", "factorizations", "--group", "2", "--element", ones],
-        ["factor", "lengths", "--gens", gens, "--element", "3001"],
+def test_deep_listings_answer_and_the_cells_cap_holds(capsys):
+    # the listings walk their count tables without recursion: 991 is an atom
+    # of <990, ..., 1979>, and 2400 ones or 1200 zeros in C2 have one factorization
+    gens = ",".join(str(g) for g in range(990, 1980))
+    for argv, lengths in (
+        (["factor", "factorizations", "--gens", gens, "--element", "991"], [1]),
+        (["blocks", "factorizations", "--group", "2", "--element", ",".join(["1"] * 2400)], [1200]),
+        (["blocks", "factorizations", "--group", "2", "--element", ",".join(["0"] * 1200)], [1200]),
     ):
         code, out = _run(capsys, argv)
-        assert code == 3, argv[:2]
-        assert json.loads(out)["kind"] == "cap"
+        assert code == 0, argv[:2]
+        doc = json.loads(out)
+        assert len(doc["factorizations"]) == 1 and doc["lengths"] == lengths, argv[:2]
+    code, out = _run(capsys, ["factor", "lengths", "--gens", ",".join(str(g) for g in range(1000, 2000)), "--element", "3001"])
+    assert code == 3
+    assert json.loads(out) == {"error": "3002000 length-set cells exceed the cap 1000000", "kind": "cap"}
 
 
 def test_block_lengths_of_a_deep_block_answer(capsys):

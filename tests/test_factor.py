@@ -283,12 +283,59 @@ def test_factorization_count_matches_the_listing():
         s = random_numerical_monoid(rng)
         for n in range(s.conductor + 30):
             if s.contains(n):
-                assert _factorization_count(s, n) == len(factorizations(s, n)), (s.atoms, n)
+                assert _factorization_count(s, n)[0] == len(factorizations(s, n)), (s.atoms, n)
+
+
+def _factorizations_by_recursion(atoms, n):
+    # the recursive search the table walk replaced: one level per atom,
+    # every exponent tried, lexicographic by construction
+    out = []
+
+    def rec(i, remaining, prefix):
+        if i == len(atoms) - 1:
+            q, r = divmod(remaining, atoms[i])
+            if r == 0:
+                out.append(prefix + (q,))
+            return
+        for x in range(remaining // atoms[i] + 1):
+            rec(i + 1, remaining - x * atoms[i], prefix + (x,))
+
+    rec(0, n, ())
+    return out
+
+
+def test_factorization_walk_matches_the_recursive_oracle():
+    rng = random.Random(2022)
+    drawn = 0
+    while drawn < 60:
+        try:
+            s = from_generators(rng.sample(range(4, 31), rng.randint(3, 5)))
+        except InputError:  # generators with a common divisor
+            continue
+        if not 3 <= len(s.atoms) <= 5:
+            continue
+        drawn += 1
+        for n in rng.sample(range(3 * s.conductor + 100), 16):
+            if s.contains(n):
+                listed = [f.exponents for f in factorizations(s, n)]
+                assert listed == _factorizations_by_recursion(s.atoms, n), (s.atoms, n)
+                assert _factorization_count(s, n)[0] == len(listed), (s.atoms, n)
+
+
+def test_a_listing_with_long_dead_branches_walks_only_live_ones():
+    # the recursive search tries some 6 * 10**7 exponent triples of 84, 85
+    # and 86; every node of the walk leads to a factorization
+    s = from_generators([84, 85, 86, 3527])
+    listed = factorizations(s, 60000)
+    assert len(listed) == _factorization_count(s, 60000)[0] == 18297
+    assert all(f.evaluate(s.atoms) == 60000 for f in listed)
+    exponents = [f.exponents for f in listed]
+    assert exponents == sorted(set(exponents))
 
 
 def test_factorization_listing_is_capped_before_it_lists():
     s = from_generators([3, 5, 7])
-    assert _factorization_count(s, 4576) == 100040 > FACTORIZATIONS_CAP
+    assert _factorization_count(s, 4576)[0] == 100040 > FACTORIZATIONS_CAP
     with pytest.raises(CapError, match=r"^100040 factorizations exceed the cap 100000$"):
         factorizations(s, 4576)
     with pytest.raises(CapError, match=r"^1000002 factorization-count cells exceed the cap 1000000$"):  # (n + 1) * len(atoms) count cells

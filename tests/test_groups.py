@@ -12,7 +12,6 @@ from wktoolkit.groups import (
     Rank1GroupDescriptor,
     SymbolicPrimeClass,
     TorsionFreeGroupDescriptor,
-    combine_invariant_factors,
     cyclic,
     integers,
     is_prime,
@@ -55,17 +54,6 @@ def test_group_arithmetic():
     assert str(cyclic(1)) == "trivial"
 
 
-def test_combine_invariant_factors():
-    assert combine_invariant_factors((2,), (3,)) == (6,)
-    assert combine_invariant_factors((2,), (2,)) == (2, 2)
-    assert combine_invariant_factors((2, 4), (3,)) == (2, 12)
-    assert combine_invariant_factors((), ()) == ()
-    # factor lists that are no divisibility chain
-    assert combine_invariant_factors((2, 3), (4, 6)) == (2, 6, 12)
-    assert combine_invariant_factors((4, 6, 9)) == (6, 36)
-    assert combine_invariant_factors((6,), (10,), (15,)) == (30, 30)
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 
@@ -82,6 +70,10 @@ def test_snf_contract_examples():
     assert res.invariant_factors == () and res.free_rank == 2
     res = smith_normal_form([], generators=3)
     assert res.invariant_factors == () and res.free_rank == 3
+    # diagonal relations that are no divisibility chain
+    for diagonal, factors in (((2, 3, 4, 6), (2, 6, 12)), ((4, 6, 9), (6, 36)), ((6, 10, 15), (30, 30))):
+        rows = [[d if i == j else 0 for j in range(len(diagonal))] for i, d in enumerate(diagonal)]
+        assert smith_normal_form(rows).invariant_factors == factors
 
 
 def _brute_force_quotient_order(rows, n, modulus):
